@@ -1,10 +1,11 @@
 """Backtracking kernel for exact magic-labeling search.
 
-One source function drives both execution paths: `backtrack` is the
-numba-jitted build (the default) and `backtrack_python` is the identical
-routine interpreted over the same numpy arrays.  Set MAGICLAB_NO_JIT=1 (or
-NUMBA_DISABLE_JIT=1) before import to select the interpreted path; the two
-are bit-for-bit equivalent, including node counts.  The search is the only
+One source function drives both execution paths.  `backtrack_python` runs it
+interpreted over numpy arrays.  `backtrack` is the active build: the numba
+`@njit` compilation when numba is installed (the optional `jit` extra) and
+not disabled by MAGICLAB_NO_JIT=1 or NUMBA_DISABLE_JIT=1, otherwise the
+interpreted function itself.  `BACKEND` names the one in use.  The two paths
+are bit-for-bit equivalent, node counts included.  The search is the only
 hot loop in the package -- everything else is closed-form construction.
 """
 
@@ -18,6 +19,8 @@ STATUS_DONE = 0
 STATUS_NODE_LIMIT = 1
 STATUS_OUT_FULL = 2
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
 
 def _backtrack_impl(
     indptr,
@@ -29,18 +32,31 @@ def _backtrack_impl(
     node_limit,
     stop_after,
     max_out,
+    dptr=_EMPTY,
+    drow=_EMPTY,
+    dsign=_EMPTY,
+    twin_prev=_EMPTY,
 ):
     """Depth-first search for magic assignments in lexicographic order.
 
-    Vertices are assigned in id order, labels tried in ascending order, so
-    accepted assignments appear sorted by the label vector.  `labels` must be
-    sorted ascending with len(labels) == order.
+    The search solves linear equality rows with +-1 coefficients over a
+    permutation of `labels`.  Vertices are assigned in id order, labels tried
+    in ascending order, so accepted assignments appear sorted by the label
+    vector.  `labels` must be sorted ascending with len(labels) == order.
 
-    With prune set, a branch dies as soon as a completed neighborhood misses
-    the constant or a partial weight can no longer reach it; the constant is
-    either supplied (have_c) or fixed by the first completed neighborhood.
-    Without prune, full assignments are generated and checked at the leaves
-    only -- same results, no shortcuts.
+    Neighborhood rows come from the CSR adjacency (indptr, nbrs): the labels
+    on N(u) sum to the constant c, which is either supplied (have_c) or fixed
+    by the first completed neighborhood.  Optional extra rows target 0 and
+    are given by vertex in CSR form: vertex v enters row drow[k] with sign
+    dsign[k] for k in dptr[v]:dptr[v+1].  Optional twin_prev[v] >= 0 names an
+    earlier vertex whose label must be smaller than v's, so the label scan
+    of v starts just after it.
+
+    With prune set, a branch dies as soon as a completed row misses its
+    target or a partial row can no longer reach it with labels in
+    [labels[0], labels[-1]].  Without prune, full assignments are generated
+    and checked at the leaves only -- same results, no shortcuts; the extra
+    rows and the twin order are ignored.
 
     node_limit < 0 means unlimited; a node is one attempted assignment.
     Recording stops after `stop_after` accepted assignments; if an extra one
@@ -59,6 +75,18 @@ def _backtrack_impl(
     rem = np.empty(n, dtype=np.int64)
     for u in range(n):
         rem[u] = indptr[u + 1] - indptr[u]
+    rows = prune and drow.shape[0] > 0
+    twins = prune and twin_prev.shape[0] > 0
+    # per extra row: running signed sum, unassigned +1 and -1 entries
+    nrows = drow.max() + 1 if drow.shape[0] > 0 else 0
+    acc = np.zeros(nrows, dtype=np.int64)
+    rpos = np.zeros(nrows, dtype=np.int64)
+    rneg = np.zeros(nrows, dtype=np.int64)
+    for k in range(drow.shape[0]):
+        if dsign[k] > 0:
+            rpos[drow[k]] += 1
+        else:
+            rneg[drow[k]] += 1
     c = c_init
     know_c = have_c
     if prune and not know_c:
@@ -75,11 +103,15 @@ def _backtrack_impl(
     depth = 0
     li = 0
     while True:
-        advanced = False
-        while li < n:
-            if used[li]:
-                li += 1
-                continue
+        if li == n:
+            # labels exhausted at this depth: undo the level above
+            if depth == 0:
+                return STATUS_DONE, nodes, count, out
+            depth -= 1
+        elif used[li]:
+            li += 1
+            continue
+        else:
             nodes += 1
             if node_limit >= 0 and nodes > node_limit:
                 return STATUS_NODE_LIMIT, nodes, count, out
@@ -90,6 +122,15 @@ def _backtrack_impl(
                 u = nbrs[k]
                 w[u] += lab
                 rem[u] -= 1
+            if rows:
+                for k in range(dptr[depth], dptr[depth + 1]):
+                    r = drow[k]
+                    if dsign[k] > 0:
+                        acc[r] += lab
+                        rpos[r] -= 1
+                    else:
+                        acc[r] -= lab
+                        rneg[r] -= 1
             if prune:
                 for k in range(indptr[depth], indptr[depth + 1]):
                     u = nbrs[k]
@@ -106,65 +147,77 @@ def _backtrack_impl(
                         if w[u] + rem[u] * lmin > c or w[u] + rem[u] * lmax < c:
                             ok = False
                             break
-            if ok:
-                pick[depth] = li
-                used[li] = True
-                cfix[depth] = fixed_here
-                advanced = True
-                break
-            # roll back the failed attempt
-            for k in range(indptr[depth], indptr[depth + 1]):
-                u = nbrs[k]
-                w[u] -= lab
-                rem[u] += 1
-            if fixed_here:
-                know_c = False
-            li += 1
-        if advanced:
-            depth += 1
-            li = 0
-            if depth == n:
-                good = True
-                for u in range(1, n):
-                    if w[u] != w[0]:
-                        good = False
+            if rows and ok:
+                for k in range(dptr[depth], dptr[depth + 1]):
+                    r = drow[k]
+                    if (
+                        acc[r] + rpos[r] * lmin - rneg[r] * lmax > 0
+                        or acc[r] + rpos[r] * lmax - rneg[r] * lmin < 0
+                    ):
+                        ok = False
                         break
-                if good:
-                    if count == max_out:
-                        return STATUS_OUT_FULL, nodes, count, out
-                    for v in range(n):
-                        out[count * n + v] = labels[pick[v]]
-                    count += 1
-                    if count >= stop_after:
-                        return STATUS_DONE, nodes, count, out
-                # step back from the leaf
-                depth -= 1
-                li = pick[depth]
-                lab = labels[li]
+            if not ok:
+                # roll back the failed attempt in place, the cheap common case
                 for k in range(indptr[depth], indptr[depth + 1]):
                     u = nbrs[k]
                     w[u] -= lab
                     rem[u] += 1
-                if cfix[depth]:
+                if rows:
+                    for k in range(dptr[depth], dptr[depth + 1]):
+                        r = drow[k]
+                        if dsign[k] > 0:
+                            acc[r] -= lab
+                            rpos[r] += 1
+                        else:
+                            acc[r] += lab
+                            rneg[r] += 1
+                if fixed_here:
                     know_c = False
-                used[li] = False
-                pick[depth] = -1
                 li += 1
-        else:
-            if depth == 0:
-                return STATUS_DONE, nodes, count, out
-            depth -= 1
-            li = pick[depth]
-            lab = labels[li]
-            for k in range(indptr[depth], indptr[depth + 1]):
-                u = nbrs[k]
-                w[u] -= lab
-                rem[u] += 1
-            if cfix[depth]:
-                know_c = False
-            used[li] = False
-            pick[depth] = -1
-            li += 1
+                continue
+            pick[depth] = li
+            used[li] = True
+            cfix[depth] = fixed_here
+            if depth + 1 < n:
+                depth += 1
+                li = 0
+                if twins and twin_prev[depth] >= 0:
+                    li = pick[twin_prev[depth]] + 1
+                continue
+            good = True
+            for u in range(1, n):
+                if w[u] != w[0]:
+                    good = False
+                    break
+            if good:
+                if count == max_out:
+                    return STATUS_OUT_FULL, nodes, count, out
+                for v in range(n):
+                    out[count * n + v] = labels[pick[v]]
+                count += 1
+                if count >= stop_after:
+                    return STATUS_DONE, nodes, count, out
+        # step back: undo the assignment at `depth`, go on with its next label
+        li = pick[depth]
+        lab = labels[li]
+        for k in range(indptr[depth], indptr[depth + 1]):
+            u = nbrs[k]
+            w[u] -= lab
+            rem[u] += 1
+        if rows:
+            for k in range(dptr[depth], dptr[depth + 1]):
+                r = drow[k]
+                if dsign[k] > 0:
+                    acc[r] -= lab
+                    rpos[r] += 1
+                else:
+                    acc[r] += lab
+                    rneg[r] += 1
+        if cfix[depth]:
+            know_c = False
+        used[li] = False
+        pick[depth] = -1
+        li += 1
 
 
 backtrack_python = _backtrack_impl
@@ -182,10 +235,33 @@ def _build_active():
     if _jit_enabled():
         try:
             from numba import njit
-
-            return njit(cache=True)(_backtrack_impl), "numba"
         except ImportError:
             pass
+        else:
+            jitted = njit(cache=True)(_backtrack_impl)
+
+            def backtrack(
+                indptr,
+                nbrs,
+                labels,
+                have_c,
+                c_init,
+                prune,
+                node_limit,
+                stop_after,
+                max_out,
+                dptr=_EMPTY,
+                drow=_EMPTY,
+                dsign=_EMPTY,
+                twin_prev=_EMPTY,
+            ):
+                # pass every argument, so numba never has to type an omitted array default
+                return jitted(
+                    indptr, nbrs, labels, have_c, c_init, prune, node_limit,
+                    stop_after, max_out, dptr, drow, dsign, twin_prev,
+                )
+
+            return backtrack, "numba"
     return _backtrack_impl, "python"
 
 

@@ -285,11 +285,16 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(doc: dict | str) -> Graph:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return Graph(
-        int(doc["order"]),
-        [(int(u), int(v)) for u, v in doc.get("edges", [])],
-        name=str(doc.get("name", "")),
-    )
+    if not isinstance(doc, dict) or "order" not in doc:
+        raise ValueError('expected a JSON object with an "order" field')
+    try:
+        return Graph(
+            int(doc["order"]),
+            [(int(u), int(v)) for u, v in doc.get("edges", [])],
+            name=str(doc.get("name", "")),
+        )
+    except TypeError:
+        raise ValueError("order and edges must be integers and integer pairs") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ floating point enters verification.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -127,59 +128,65 @@ class VerificationReport:
         }
 
 
-def _labels_array(g: Graph, labeling: Labeling | Sequence[int]) -> np.ndarray:
-    labels = labeling.labels if isinstance(labeling, Labeling) else tuple(labeling)
+def _labels_tuple(g: Graph, labeling: Labeling | Sequence[int]) -> tuple[int, ...]:
+    labels = (
+        labeling.labels
+        if isinstance(labeling, Labeling)
+        else tuple(int(x) for x in labeling)
+    )
     if len(labels) != g.order:
         raise ValueError(
             f"labeling has {len(labels)} entries for a graph of order {g.order}"
         )
-    return np.asarray(labels, dtype=np.int64)
+    return labels
 
 
 def vertex_weight(g: Graph, labeling: Labeling | Sequence[int], u: int) -> int:
     """Sum of labels over the open neighborhood of u (u's own label excluded)."""
     if not 0 <= u < g.order:
         raise ValueError(f"unknown vertex {u}")
-    labels = _labels_array(g, labeling)
-    return int(sum(labels[v] for v in g.neighbors(u)))
+    labels = _labels_tuple(g, labeling)
+    return sum(labels[v] for v in g.neighbors(u))
 
 
-def all_weights(g: Graph, labeling: Labeling | Sequence[int]) -> np.ndarray:
-    """Open-neighborhood label sums for every vertex, computed over the arcs."""
-    labels = _labels_array(g, labeling)
-    _, indices = g.csr()
+def all_weights(g: Graph, labeling: Labeling | Sequence[int]) -> tuple[int, ...]:
+    """Open-neighborhood label sums for every vertex, exactly.
+
+    Summed over the CSR arcs in int64 when no partial sum can overflow it
+    (largest |label| times largest degree fits), else in Python integers.
+    """
+    labels = _labels_tuple(g, labeling)
+    indptr, indices = g.csr()
+    bound = max(abs(x) for x in labels) * max(1, int(np.diff(indptr).max()))
+    if bound > np.iinfo(np.int64).max:
+        return tuple(sum(labels[v] for v in g.neighbors(u)) for u in range(g.order))
     w = np.zeros(g.order, dtype=np.int64)
-    np.add.at(w, g.arc_sources(), labels[indices])
-    return w
+    np.add.at(w, g.arc_sources(), np.asarray(labels, dtype=np.int64)[indices])
+    return tuple(w.tolist())
 
 
 def verify_s_magic(g: Graph, labeling: Labeling | Sequence[int]) -> VerificationReport:
     """Full audit: bijectivity onto the label set and constant vertex weights."""
-    labels = _labels_array(g, labeling)
+    labels = _labels_tuple(g, labeling)
     violations: list[str] = []
-    if np.any(labels < 1):
+    if min(labels) < 1:
         violations.append("non-positive label")
-    values, counts = np.unique(labels, return_counts=True)
-    for v, c in zip(values, counts):
-        if c > 1:
-            violations.append(f"label {int(v)} assigned to {int(c)} vertices")
+    counts = Counter(labels)
+    for v in sorted(v for v, c in counts.items() if c > 1):
+        violations.append(f"label {v} assigned to {counts[v]} vertices")
     weights = all_weights(g, labels)
-    if weights.min() != weights.max():
+    if min(weights) != max(weights):
         # report a handful of offending pairs against vertex 0
-        bad = np.nonzero(weights != weights[0])[0]
+        bad = [v for v, x in enumerate(weights) if x != weights[0]]
         for v in bad[:5]:
-            violations.append(
-                f"w(0)={int(weights[0])} != w({int(v)})={int(weights[v])}"
-            )
+            violations.append(f"w(0)={weights[0]} != w({v})={weights[v]}")
     is_magic = not violations
-    constant = int(weights[0]) if is_magic else None
-    is_dm = bool(
-        is_magic and sorted(int(x) for x in labels) == list(range(1, g.order + 1))
-    )
+    constant = weights[0] if is_magic else None
+    is_dm = is_magic and sorted(labels) == list(range(1, g.order + 1))
     return VerificationReport(
         is_magic=is_magic,
         constant=constant,
-        weights=tuple(int(x) for x in weights),
+        weights=weights,
         violations=violations,
         is_distance_magic=is_dm,
     )
@@ -289,4 +296,9 @@ def labeling_to_json(labeling: Labeling, constant: int | None = None) -> dict:
 def labeling_from_json(doc: dict | str) -> Labeling:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return Labeling(tuple(int(x) for x in doc["labels"]))
+    labels = doc.get("labels") if isinstance(doc, dict) else None
+    if not isinstance(labels, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in labels
+    ):
+        raise ValueError('expected a JSON object with a "labels" list of integers')
+    return Labeling(tuple(labels))

@@ -89,6 +89,49 @@ def _forced_constant(g: Graph, values: tuple[int, ...]) -> tuple[bool, int]:
     return True, total // g.order
 
 
+def _pruning_rows(g: Graph) -> tuple[np.ndarray, ...]:
+    """Extra kernel inputs (dptr, drow, dsign, twin_prev) for a first hit.
+
+    Difference rows: in a magic labeling w(u) = w(v), so the labels on
+    N(u)-N(v) and on N(v)-N(u) have equal sums.  A pair u < v gets that row
+    when the two sets are not both empty and hold fewer vertices together
+    than either neighborhood, so the row closes before the neighborhood rows
+    do.  The rows are handed to the kernel by vertex in CSR form.
+
+    False twins (N(u) = N(v)) are interchangeable: sorting the labels inside
+    every twin class maps a magic labeling to a magic labeling that is
+    lexicographically no larger.  twin_prev[v] is the previous vertex of v's
+    class (-1 for the first), so the kernel tries only increasing labels
+    along each class and still finds the lexicographically first witness.
+    """
+    n = g.order
+    nbhd = [set(g.neighbors(u)) for u in range(n)]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    nrows = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            plus = nbhd[u] - nbhd[v]
+            minus = nbhd[v] - nbhd[u]
+            if 0 < len(plus) + len(minus) < min(len(nbhd[u]), len(nbhd[v])):
+                for x in plus:
+                    cols[x].append((nrows, 1))
+                for x in minus:
+                    cols[x].append((nrows, -1))
+                nrows += 1
+    dptr = np.zeros(n + 1, dtype=np.int64)
+    for v in range(n):
+        dptr[v + 1] = dptr[v] + len(cols[v])
+    drow = np.array([r for col in cols for r, _ in col], dtype=np.int64)
+    dsign = np.array([s for col in cols for _, s in col], dtype=np.int64)
+    twin_prev = np.empty(n, dtype=np.int64)
+    last: dict[tuple[int, ...], int] = {}
+    for v in range(n):
+        key = g.neighbors(v)
+        twin_prev[v] = last.get(key, -1)
+        last[key] = v
+    return dptr, drow, dsign, twin_prev
+
+
 def _run_kernel(
     g: Graph,
     values: tuple[int, ...],
@@ -96,7 +139,9 @@ def _run_kernel(
     node_limit: int,
     stop_after: int,
     max_out: int,
+    rows: tuple[np.ndarray, ...] = (),
 ):
+    """One kernel call; `rows` are the extra inputs from _pruning_rows."""
     indptr, nbrs = g.csr()
     labels = np.asarray(values, dtype=np.int64)
     have_c, c0 = (False, 0)
@@ -115,6 +160,7 @@ def _run_kernel(
         node_limit,
         stop_after,
         max_out,
+        *rows,
     )
 
 
@@ -132,8 +178,9 @@ def find_labeling(
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
     limit = -1 if cfg.node_limit is None else cfg.node_limit
+    rows = _pruning_rows(g) if cfg.prune else ()
     status, _, count, out = _run_kernel(
-        g, values, cfg.prune, limit, stop_after=1, max_out=1
+        g, values, cfg.prune, limit, stop_after=1, max_out=1, rows=rows
     )
     if status == _kernels.STATUS_NODE_LIMIT:
         raise SearchBudgetExceeded(
@@ -228,6 +275,7 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
     if cfg.budget_ms is not None:
         deadline = time.perf_counter() + cfg.budget_ms / 1000.0
     nodes_left = -1 if cfg.node_limit is None else cfg.node_limit
+    rows = _pruning_rows(g) if cfg.prune else ()
     n = g.order
     for d in range(cfg.theta_cap + 1):
         for values in _candidate_sets(n, d):
@@ -240,7 +288,7 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
                     detail=f"wall-clock budget {cfg.budget_ms} ms exhausted",
                 )
             status, nodes, count, out = _run_kernel(
-                g, values, cfg.prune, nodes_left, stop_after=1, max_out=1
+                g, values, cfg.prune, nodes_left, stop_after=1, max_out=1, rows=rows
             )
             if status == _kernels.STATUS_NODE_LIMIT:
                 return IndexResult(

@@ -249,3 +249,49 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["index", "--nope"]) == 2
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with a message; exit 1 stays "verified not magic"."""
+
+    def test_label_json_without_labels_exits_2(self, capsys, tmp_path, k33_file):
+        labels_file = tmp_path / "lab.json"
+        labels_file.write_text('{"values": [1, 2, 3, 4, 5, 6]}')
+        code = main(["verify", "--graph", k33_file, "--labels", str(labels_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert '"labels"' in err and "Traceback" not in err
+
+    def test_fractional_json_label_exits_2(self, capsys, tmp_path, k33_file):
+        # 1.9 used to be truncated to 1, which makes this K3,3 labeling magic
+        labels_file = tmp_path / "lab.json"
+        labels_file.write_text('{"labels": [1.9, 3, 7, 2, 4, 5]}')
+        code = main(["verify", "--graph", k33_file, "--labels", str(labels_file)])
+        assert code == 2
+        assert "integers" in capsys.readouterr().err
+
+    def test_graph_json_without_order_exits_2(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text('{"edges": [[0, 1]]}')
+        code = main(["index", "--graph", str(graph_file)])
+        assert code == 2
+        assert '"order"' in capsys.readouterr().err
+
+    def test_labels_beyond_int64_are_verified_exactly(self, capsys, tmp_path, k33_file):
+        # both parts sum to 2^63 + 8: magic, with a constant past int64
+        labels_file = tmp_path / "big.txt"
+        labels_file.write_text(f"{2**63 + 5} 1 2 {2**63} 3 5")
+        code, out = run(capsys, "verify", "--graph", k33_file, "--labels", str(labels_file))
+        assert code == 0
+        assert json.loads(out)["constant"] == 2**63 + 8
+        labels_file.write_text(f"{2**63 + 5} 1 2 {2**63} 3 6")
+        code, out = run(capsys, "verify", "--graph", k33_file, "--labels", str(labels_file))
+        assert code == 1
+        assert not json.loads(out)["is_magic"]
+
+    def test_int64_wraparound_is_not_magic(self, capsys, tmp_path, k33_file):
+        labels_file = tmp_path / "wrap.txt"
+        labels_file.write_text(f"{2**63 - 1} {2**63 - 2} 10 1 2 4")
+        code, out = run(capsys, "verify", "--graph", k33_file, "--labels", str(labels_file))
+        assert code == 1
+        assert json.loads(out)["weights"] == [7, 7, 7, 2**64 + 7, 2**64 + 7, 2**64 + 7]

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magiclab.graphs import build_cycle, build_multipartite, empty_graph
+from magiclab.graphs import Graph, build_cycle, build_multipartite, empty_graph
 from magiclab.labeling import (
     Labeling,
     LabelSet,
@@ -99,6 +102,28 @@ class TestVerify:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             verify_s_magic(build_cycle(4), [1, 2, 3])
+
+    def test_no_int64_wraparound(self):
+        # in int64 the heavy part's weight 2^64 + 7 wraps around to 7
+        report = verify_s_magic(build_multipartite(3, 2), [2**63 - 1, 2**63 - 2, 10, 1, 2, 4])
+        assert not report.is_magic
+        assert report.weights == (7, 7, 7, 2**64 + 7, 2**64 + 7, 2**64 + 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_weights_match_python_sums(self, data):
+        order = data.draw(st.integers(1, 7))
+        pairs = list(combinations(range(order), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(order, edges)
+        label = st.one_of(st.integers(1, 50), st.integers(2**60, 2**65))
+        labels = data.draw(st.lists(label, min_size=order, max_size=order))
+        want = tuple(sum(labels[v] for v in g.neighbors(u)) for u in range(order))
+        report = verify_s_magic(g, labels)
+        assert report.weights == want
+        magic = len(set(want)) == 1 and len(set(labels)) == order
+        assert report.is_magic == magic
+        assert report.constant == (want[0] if magic else None)
 
 
 class TestRegularConstant:

@@ -1,9 +1,19 @@
+import sys
+import types
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from magiclab import _kernels
-from magiclab.graphs import Graph, build_cycle, build_multipartite, disjoint_union, empty_graph
+from magiclab import _kernels, search
+from magiclab.graphs import (
+    Graph,
+    build_cycle,
+    build_multipartite,
+    disjoint_union,
+    empty_graph,
+    lex_product,
+)
 from magiclab.labeling import LabelSet, verify_s_magic
 from magiclab.search import (
     SearchBudgetExceeded,
@@ -16,6 +26,12 @@ from magiclab.search import (
 
 PATH3 = Graph(3, [(0, 1), (1, 2)], "P3")
 STAR4 = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)], "S4")
+PRISM = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)], "prism")
+CUBE = Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b], "cube")
+
+
+def blowup(g: Graph, n: int) -> Graph:
+    return lex_product(g, empty_graph(n))
 
 
 def naive_enumerate(g: Graph, values) -> list[tuple[int, ...]]:
@@ -117,6 +133,10 @@ class TestPruningEquivalence:
         build_multipartite(1, 4),
         disjoint_union(build_cycle(3), 2),
         Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)], "mixed"),
+        # blow-ups with false twins, and the prism with difference rows
+        build_multipartite(2, 3),
+        blowup(PATH3, 2),
+        PRISM,
     ]
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name or str(g.order))
@@ -126,10 +146,70 @@ class TestPruningEquivalence:
         if n >= 3:
             sets.append(tuple(range(2, n + 2)))
             sets.append(tuple(v for v in range(1, n + 2) if v != n))
+        dptr, drow, dsign, _ = search._pruning_rows(g)
+        indptr, nbrs = g.csr()
         for values in sets:
             fast = enumerate_labelings(g, values, SearchConfig(prune=True))
             slow = enumerate_labelings(g, values, SearchConfig(prune=False))
             assert [x.labels for x in fast] == [x.labels for x in slow]
+            # the difference rows alone never drop a magic labeling
+            labels = np.asarray(values, dtype=np.int64)
+            _, _, count, out = _kernels.backtrack(
+                indptr, nbrs, labels, False, 0, True, -1, 2**62, len(slow) + 1,
+                dptr, drow, dsign,
+            )
+            rows = [tuple(out[k * n : (k + 1) * n].tolist()) for k in range(count)]
+            assert rows == [x.labels for x in slow]
+
+
+class TestFirstHitEquivalence:
+    """Difference rows and false-twin order never change a first hit."""
+
+    # graphs with false twins, difference rows or both
+    GRAPHS = [
+        blowup(build_cycle(4), 2),
+        blowup(build_cycle(5), 2),
+        build_multipartite(2, 4),
+        build_multipartite(3, 3),
+        disjoint_union(build_multipartite(2, 3), 2),
+        PRISM,
+        CUBE,
+    ]
+    # small enough for the unpruned search; P3 and S4 are not regular
+    UNPRUNED = [
+        blowup(build_cycle(4), 2),
+        build_multipartite(2, 4),
+        build_multipartite(3, 3),
+        PRISM,
+        PATH3,
+        STAR4,
+    ]
+
+    @pytest.mark.parametrize("g", UNPRUNED, ids=lambda g: g.name)
+    def test_pruned_equals_unpruned(self, g):
+        values = tuple(range(1, g.order + 1))
+        slow = SearchConfig(prune=False)
+        assert find_labeling(g, values) == find_labeling(g, values, slow)
+        assert compute_index(g) == compute_index(g, slow)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name)
+    def test_same_as_neighborhood_pruning_alone(self, g, monkeypatch):
+        # the unpruned search is out of reach on C5[K2] and 2H(2,3), so the
+        # reference here is the pruned search without the extra rows and twins
+        values = tuple(range(1, g.order + 1))
+        fast = (find_labeling(g, values), compute_index(g))
+        monkeypatch.setattr(search, "_pruning_rows", lambda g: ())
+        assert fast == (find_labeling(g, values), compute_index(g))
+
+    def test_h26_exact_inside_node_budget(self):
+        res = compute_index(build_multipartite(2, 6), SearchConfig(node_limit=40_000))
+        assert res.kind == "finite" and res.theta == 0
+        assert res.witness.labels == (1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7)
+
+    def test_h34_exact_inside_node_budget(self):
+        res = compute_index(build_multipartite(3, 4), SearchConfig(node_limit=40_000))
+        assert res.kind == "finite" and res.theta == 1
+        assert res.witness.labels == (1, 6, 13, 2, 8, 10, 3, 5, 12, 4, 7, 9)
 
 
 class TestComputeIndex:
@@ -215,3 +295,22 @@ class TestBackendEquivalence:
                 assert a[1] == b[1]          # node count
                 assert a[2] == b[2]          # solutions
                 assert a[3][: a[2] * g.order].tolist() == b[3][: b[2] * g.order].tolist()
+
+    def test_jit_entry_forwards_optional_rows(self, monkeypatch):
+        # numba is optional; an identity njit checks the entry point's plumbing
+        stub = types.ModuleType("numba")
+        stub.njit = lambda **kwargs: (lambda fn: fn)
+        monkeypatch.setitem(sys.modules, "numba", stub)
+        monkeypatch.delenv("MAGICLAB_NO_JIT", raising=False)
+        monkeypatch.delenv("NUMBA_DISABLE_JIT", raising=False)
+        entry, backend = _kernels._build_active()
+        assert backend == "numba"
+        g = build_multipartite(2, 4)
+        indptr, nbrs = g.csr()
+        labels = np.arange(1, 9, dtype=np.int64)
+        rows = search._pruning_rows(g)
+        for extra in ((), rows):
+            a = entry(indptr, nbrs, labels, True, 27, True, -1, 1, 1, *extra)
+            b = _kernels.backtrack_python(indptr, nbrs, labels, True, 27, True, -1, 1, 1, *extra)
+            assert a[2] == 1
+            assert a[:3] == b[:3] and a[3].tolist() == b[3].tolist()
