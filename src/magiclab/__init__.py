@@ -44,6 +44,7 @@ from .labeling import (
     constant_bounds,
     hnp_constant_bounds,
     regular_constant,
+    verify_blowup,
     verify_s_magic,
     vertex_weight,
 )

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import families, rectangles, search
-from .graphs import Graph, graph_from_json, parse_edge_list, regular_degree
+from .graphs import MAX_INPUT_ORDER, Graph, graph_from_json, parse_edge_list, regular_degree
 from .labeling import Labeling, labeling_from_json, verify_s_magic
 
 EXIT_OK = 0
@@ -65,6 +65,16 @@ def _load_labeling(path: str) -> Labeling:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _check_size(vertices: int) -> None:
+    """Refuse a requested construction larger than an input graph may be.
+
+    Rectangles and witnesses are allocated in full, so an order such as
+    --n 7 --p 10**9 would exhaust memory before anything else failed.
+    """
+    if vertices > MAX_INPUT_ORDER:
+        raise CliError(f"requested {vertices} vertices, above the limit {MAX_INPUT_ORDER}")
+
+
 def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -94,6 +104,8 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     try:
+        if args.family != "lex":
+            _check_size(args.n * args.p * (1 if args.family == "hnp" else args.m))
         if args.family == "hnp":
             result = families.theta_hnp(args.n, args.p)
         elif args.family == "m-hnp":
@@ -104,6 +116,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             if not args.base:
                 raise CliError("--family lex requires --base <edgelist>")
             base = _load_graph(args.base, args.one_indexed)
+            _check_size(args.n * base.order)
             result = families.theta_lex_blowup(base, args.n)
     except (families.HypothesisError, families.NotRegularError, ValueError) as exc:
         raise CliError(str(exc)) from exc
@@ -147,14 +160,17 @@ def _build_rect(args: argparse.Namespace) -> list[rectangles.Rectangle]:
     if case in ("1", "2"):
         if args.m is None:
             raise CliError(f"--case {case} requires --m")
+        _check_size((6 if case == "1" else 10) * args.m)
         return [rectangles.case1(args.m) if case == "1" else rectangles.case2(args.m)]
     if case == "3":
         if args.n is None or args.m is None:
             raise CliError("--case 3 requires --n and --m")
+        _check_size(2 * args.n * args.m)
         return [rectangles.case3(args.n, args.m)]
     if case in ("even", "odd"):
         if args.n is None or args.p is None:
             raise CliError(f"--case {case} requires --n and --p")
+        _check_size(args.n * args.p)
         build = rectangles.balanced_even if case == "even" else rectangles.balanced_odd
         return [build(args.n, args.p)]
     if case == "complement":
@@ -200,16 +216,17 @@ def _cmd_eit(args: argparse.Namespace) -> int:
             )
         if args.labels:
             labeling = _load_labeling(args.labels)
+            report = verify_s_magic(graph, labeling)
+            if not report.is_magic:
+                _print_json(report.to_json_dict())
+                return EXIT_NEGATIVE
         else:
             result = search.compute_index(graph, _search_config(args))
             if result.witness is None:
                 _print_json(result.to_json_dict())
                 return EXIT_INDETERMINATE
             labeling = result.witness
-        try:
-            schedule = families.eit_schedule(graph, labeling)
-        except (families.NotMagicError, families.NotRegularError) as exc:
-            raise CliError(str(exc), code=EXIT_NEGATIVE) from exc
+        schedule = families.eit_schedule(graph, labeling)
         if args.format == "table":
             print(families.schedule_table(schedule), end="")
         else:

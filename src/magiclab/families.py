@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, build_cycle, build_multipartite, disjoint_union, empty_graph, lex_product, regular_degree
-from .labeling import Labeling, verify_s_magic
+import numpy as np
+
+from .graphs import Graph, build_cycle, build_multipartite, disjoint_union, regular_degree
+from .labeling import Labeling, verify_blowup, verify_s_magic
 from .rectangles import (
     Rectangle,
     balanced_even,
@@ -99,25 +101,39 @@ class IndexResult:
         return doc
 
 
-def _columns_labeling(pieces: list[Rectangle], n: int) -> Labeling:
+def _columns_labeling(pieces: list[Rectangle]) -> Labeling:
     """Read pieces column-by-column into a label vector.
 
     Matches the vertex layout shared by every family builder: vertex
     k*(n*p) + g*n + h is the h-th member of part/fiber g in copy k, so it
     receives entry (h, g) of piece k.
     """
-    labels: list[int] = []
-    for piece in pieces:
-        for g in range(piece.cols):
-            for h in range(n):
-                labels.append(int(piece.entries[h, g]))
-    return Labeling(tuple(labels))
+    return Labeling(tuple(np.concatenate([p.entries.T.ravel() for p in pieces]).tolist()))
 
 
-def _checked(result: IndexResult, graph: Graph) -> IndexResult:
-    """Verify the witness before handing the result out; never emit junk."""
+def _witnessed(
+    theta: int, theorem: str, constant: int, pieces: list[Rectangle]
+) -> IndexResult:
+    """A closed-form answer whose witness reads the pieces column by column."""
+    return IndexResult(
+        kind="finite",
+        theta=theta,
+        method="closed-form",
+        theorem=theorem,
+        constant=constant,
+        witness=_columns_labeling(pieces),
+    )
+
+
+def _checked(result: IndexResult, base: Graph, n: int) -> IndexResult:
+    """Verify the witness on base[K̄n] before handing the result out; never emit junk.
+
+    Every family here is a blow-up base[K̄n], and the witness is checked on
+    its fiber sums over base (verify_blowup), which is exact and never
+    builds the blow-up's edges.
+    """
     if result.witness is not None:
-        report = verify_s_magic(graph, result.witness)
+        report = verify_blowup(base, n, result.witness)
         if not report.is_magic:
             raise AssertionError(
                 f"constructed witness failed verification: {report.violations}"
@@ -129,6 +145,32 @@ def _checked(result: IndexResult, graph: Graph) -> IndexResult:
                 f"witness constant {report.constant} != closed form {result.constant}"
             )
     return result
+
+
+def _nonsingular(g: Graph) -> bool:
+    """Whether the adjacency matrix of g has a nonzero determinant.
+
+    Fraction-free (Bareiss) elimination over Python integers: every entry it
+    forms is a minor of the matrix, so each division is exact and the test
+    involves no rounding.
+    """
+    size = g.order
+    a = [[0] * size for _ in range(size)]
+    for u in range(size):
+        for v in g.neighbors(u):
+            a[u][v] = 1
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
+            if pivot is None:
+                return False
+            a[k], a[pivot] = a[pivot], a[k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return a[-1][-1] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -143,28 +185,19 @@ def theta_hnp(n: int, p: int) -> IndexResult:
     """
     if n <= 1 or p <= 1:
         raise HypothesisError(f"requires n > 1 and p > 1, got n={n}, p={p}")
-    graph = build_multipartite(n, p)
     if n % 2 == 0 or p % 2 == 1:
         rect = balanced_even(n, p) if n % 2 == 0 else balanced_odd(n, p)
-        result = IndexResult(
-            kind="finite",
-            theta=0,
-            method="closed-form",
-            theorem="multipartite-balanced",
-            constant=(p - 1) * (n * (n * p + 1) // 2),
-            witness=_columns_labeling([rect], n),
+        result = _witnessed(
+            0, "multipartite-balanced", (p - 1) * (n * (n * p + 1) // 2), [rect]
         )
     else:
-        rect = construct_deleted(n, p)
-        result = IndexResult(
-            kind="finite",
-            theta=1,
-            method="closed-form",
-            theorem="multipartite-deleted",
-            constant=(p - 1) * ((n * n * p + n + 1) // 2),
-            witness=_columns_labeling([rect], n),
+        result = _witnessed(
+            1,
+            "multipartite-deleted",
+            (p - 1) * ((n * n * p + n + 1) // 2),
+            [construct_deleted(n, p)],
         )
-    return _checked(result, graph)
+    return _checked(result, build_multipartite(1, p), n)
 
 
 def theta_m_hnp(m: int, n: int, p: int) -> IndexResult:
@@ -177,28 +210,22 @@ def theta_m_hnp(m: int, n: int, p: int) -> IndexResult:
         raise HypothesisError(
             f"requires m >= 1, n > 1, p > 1, got m={m}, n={n}, p={p}"
         )
-    graph = disjoint_union(build_multipartite(n, p), m)
     if n % 2 == 0 or (m * n * p) % 2 == 1:
         rect = balanced_even(n, m * p) if n % 2 == 0 else balanced_odd(n, m * p)
-        result = IndexResult(
-            kind="finite",
-            theta=0,
-            method="closed-form",
-            theorem="multipartite-union-balanced",
-            constant=(p - 1) * (n * (n * m * p + 1) // 2),
-            witness=_columns_labeling(split(rect, m), n),
+        result = _witnessed(
+            0,
+            "multipartite-union-balanced",
+            (p - 1) * (n * (n * m * p + 1) // 2),
+            split(rect, m),
         )
     else:
-        rect = construct_deleted(n, m * p)
-        result = IndexResult(
-            kind="finite",
-            theta=1,
-            method="closed-form",
-            theorem="multipartite-union-deleted",
-            constant=(p - 1) * ((n * n * m * p + n + 1) // 2),
-            witness=_columns_labeling(split(rect, m), n),
+        result = _witnessed(
+            1,
+            "multipartite-union-deleted",
+            (p - 1) * ((n * n * m * p + n + 1) // 2),
+            split(construct_deleted(n, m * p), m),
         )
-    return _checked(result, graph)
+    return _checked(result, disjoint_union(build_multipartite(1, p), m), n)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +244,10 @@ def theta_m_cycle_lex(m: int, p: int, n: int) -> IndexResult:
         raise HypothesisError(
             f"requires m >= 1, n > 1, p >= 3, got m={m}, n={n}, p={p}"
         )
-    graph = disjoint_union(lex_product(build_cycle(p), empty_graph(n)), m)
     if n % 2 == 0 or (m * n * p) % 2 == 1:
         rect = balanced_even(n, m * p) if n % 2 == 0 else balanced_odd(n, m * p)
-        result = IndexResult(
-            kind="finite",
-            theta=0,
-            method="closed-form",
-            theorem="cycle-blowup-balanced",
-            constant=n * (n * m * p + 1),
-            witness=_columns_labeling(split(rect, m), n),
+        result = _witnessed(
+            0, "cycle-blowup-balanced", n * (n * m * p + 1), split(rect, m)
         )
     elif p % 4 == 0:
         result = IndexResult(
@@ -240,16 +261,13 @@ def theta_m_cycle_lex(m: int, p: int, n: int) -> IndexResult:
             ),
         )
     else:
-        rect = construct_deleted(n, m * p)
-        result = IndexResult(
-            kind="finite",
-            theta=1,
-            method="closed-form",
-            theorem="cycle-blowup-deleted",
-            constant=n * n * m * p + n + 1,
-            witness=_columns_labeling(split(rect, m), n),
+        result = _witnessed(
+            1,
+            "cycle-blowup-deleted",
+            n * n * m * p + n + 1,
+            split(construct_deleted(n, m * p), m),
         )
-    return _checked(result, graph)
+    return _checked(result, disjoint_union(build_cycle(p), m), n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +277,18 @@ def theta_m_cycle_lex(m: int, p: int, n: int) -> IndexResult:
 def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
     """Index of the n-fold blow-up of a regular graph g.
 
-    With p vertices and degree r in g: 1 when n and r are both odd, or when
-    n is odd and r = p = 2 (mod 4); 0 otherwise.  Every fiber weight is r
-    column sums, so one rectangle labels the whole blow-up.  Blow-ups by 1
-    carry no rectangle structure and go straight to exact search.
+    With p vertices and degree r in g: 0 when n is even or p is odd.  For
+    odd n and even p: 1 when r is odd, or when r = p = 2 (mod 4), or when
+    the adjacency matrix A(g) is nonsingular; otherwise 0.  Every fiber
+    weight is r column sums, so one rectangle labels the whole blow-up.
+    Blow-ups by 1 carry no rectangle structure and go straight to exact
+    search.
+
+    The nonsingular case: a distance magic labeling has fiber sums s with
+    A(g) s = c 1, and so does the constant vector (c/r) 1.  When A(g) is
+    nonsingular the two agree, so every fiber sum would equal n(np+1)/2,
+    which is not an integer for odd n and even p; hence theta >= 1, and the
+    deleted-label rectangle attains it.
     """
     if n < 1:
         raise HypothesisError(f"requires n >= 1, got n={n}")
@@ -274,7 +300,6 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
 
         return compute_index(g)
     p = g.order
-    graph = lex_product(g, empty_graph(n))
     if r == 0:
         # edgeless base: every weight is 0 under any bijection
         result = IndexResult(
@@ -285,26 +310,24 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
             constant=0,
             witness=Labeling(tuple(range(1, n * p + 1))),
         )
-        return _checked(result, graph)
-    if n % 2 == 0 or p % 2 == 1:
+    elif n % 2 == 0 or p % 2 == 1:
         rect = balanced_even(n, p) if n % 2 == 0 else balanced_odd(n, p)
-        result = IndexResult(
-            kind="finite",
-            theta=0,
-            method="closed-form",
-            theorem="regular-blowup-balanced",
-            constant=r * (n * (n * p + 1) // 2),
-            witness=_columns_labeling([rect], n),
+        result = _witnessed(
+            0, "regular-blowup-balanced", r * (n * (n * p + 1) // 2), [rect]
         )
     elif r % 2 == 1 or (r % 4 == 2 and p % 4 == 2):
-        rect = construct_deleted(n, p)
-        result = IndexResult(
-            kind="finite",
-            theta=1,
-            method="closed-form",
-            theorem="regular-blowup-deleted",
-            constant=r * ((n * n * p + n + 1) // 2),
-            witness=_columns_labeling([rect], n),
+        result = _witnessed(
+            1,
+            "regular-blowup-deleted",
+            r * ((n * n * p + n + 1) // 2),
+            [construct_deleted(n, p)],
+        )
+    elif _nonsingular(g):
+        result = _witnessed(
+            1,
+            "regular-blowup-nonsingular",
+            r * ((n * n * p + n + 1) // 2),
+            [construct_deleted(n, p)],
         )
     else:
         result = IndexResult(
@@ -317,7 +340,7 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
                 "prior work; use exact search for a witness at desk scale"
             ),
         )
-    return _checked(result, graph)
+    return _checked(result, g, n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ __all__ = [
     "Graph",
     "FamilySpec",
     "EdgeListParseError",
+    "MAX_INPUT_ORDER",
     "build_multipartite",
     "lex_product",
     "build_cycle",
@@ -213,12 +214,20 @@ def regular_degree(g: Graph) -> int | None:
 # edge-list and JSON formats
 # ---------------------------------------------------------------------------
 
+# Largest order accepted from edge-list or JSON input, and by the CLI for a
+# requested construction.  Graph allocates every vertex up front, so a
+# header such as "n 10000000000" would exhaust memory before any other
+# check could run.
+MAX_INPUT_ORDER = 1_000_000
+
+
 def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
     """Parse "u v" lines with an optional "n <order>" header.
 
     Blank lines and '#' comments are skipped.  Without a header the order is
     max id + 1.  Reports malformed lines, out-of-range ids, self-loops, and
-    duplicate edges with their line numbers.
+    duplicate edges with their line numbers.  An order above MAX_INPUT_ORDER
+    is rejected before any vertex is allocated.
     """
     order: int | None = None
     edges: list[tuple[int, int]] = []
@@ -239,6 +248,10 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
             order = int(tok[1])
             if order < 1:
                 raise EdgeListParseError(f"order must be >= 1, got {order}", lineno)
+            if order > MAX_INPUT_ORDER:
+                raise EdgeListParseError(
+                    f"order {order} exceeds the limit {MAX_INPUT_ORDER}", lineno
+                )
             continue
         if len(tok) != 2:
             raise EdgeListParseError(f"expected 'u v', got {line!r}", lineno)
@@ -266,7 +279,13 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
     if order is None:
         if not edges:
             raise EdgeListParseError("empty input (no header, no edges)", 1)
-        order = max(max(u, v) for u, v in edges) + 1
+        top = max(edges, key=lambda e: e[1])
+        order = top[1] + 1
+        if order > MAX_INPUT_ORDER:
+            raise EdgeListParseError(
+                f"vertex id {top[1] + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
+                lines_of_edge[top],
+            )
     return Graph(order, edges)
 
 
@@ -283,18 +302,27 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(doc: dict | str) -> Graph:
+    """Graph from {"order", "edges", "name"}; ids must be JSON integers.
+
+    Like parse_edge_list, rejects an order above MAX_INPUT_ORDER.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if not isinstance(doc, dict) or "order" not in doc:
-        raise ValueError('expected a JSON object with an "order" field')
-    try:
-        return Graph(
-            int(doc["order"]),
-            [(int(u), int(v)) for u, v in doc.get("edges", [])],
-            name=str(doc.get("name", "")),
-        )
-    except TypeError:
-        raise ValueError("order and edges must be integers and integer pairs") from None
+    if not isinstance(doc, dict) or not _is_int(doc.get("order")):
+        raise ValueError('expected a JSON object with an integer "order" field')
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(x) for x in e)
+        for e in edges
+    ):
+        raise ValueError('"edges" must be a list of integer pairs')
+    if doc["order"] > MAX_INPUT_ORDER:
+        raise ValueError(f"order {doc['order']} exceeds the limit {MAX_INPUT_ORDER}")
+    return Graph(doc["order"], [(u, v) for u, v in edges], name=str(doc.get("name", "")))
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------

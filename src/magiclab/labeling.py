@@ -26,6 +26,7 @@ __all__ = [
     "NonIntegerConstant",
     "vertex_weight",
     "verify_s_magic",
+    "verify_blowup",
     "regular_constant",
     "admissible_deleted_labels",
     "constant_bounds",
@@ -128,15 +129,15 @@ class VerificationReport:
         }
 
 
-def _labels_tuple(g: Graph, labeling: Labeling | Sequence[int]) -> tuple[int, ...]:
+def _labels_tuple(order: int, labeling: Labeling | Sequence[int]) -> tuple[int, ...]:
     labels = (
         labeling.labels
         if isinstance(labeling, Labeling)
         else tuple(int(x) for x in labeling)
     )
-    if len(labels) != g.order:
+    if len(labels) != order:
         raise ValueError(
-            f"labeling has {len(labels)} entries for a graph of order {g.order}"
+            f"labeling has {len(labels)} entries for a graph of order {order}"
         )
     return labels
 
@@ -145,7 +146,7 @@ def vertex_weight(g: Graph, labeling: Labeling | Sequence[int], u: int) -> int:
     """Sum of labels over the open neighborhood of u (u's own label excluded)."""
     if not 0 <= u < g.order:
         raise ValueError(f"unknown vertex {u}")
-    labels = _labels_tuple(g, labeling)
+    labels = _labels_tuple(g.order, labeling)
     return sum(labels[v] for v in g.neighbors(u))
 
 
@@ -155,7 +156,7 @@ def all_weights(g: Graph, labeling: Labeling | Sequence[int]) -> tuple[int, ...]
     Summed over the CSR arcs in int64 when no partial sum can overflow it
     (largest |label| times largest degree fits), else in Python integers.
     """
-    labels = _labels_tuple(g, labeling)
+    labels = _labels_tuple(g.order, labeling)
     indptr, indices = g.csr()
     bound = max(abs(x) for x in labels) * max(1, int(np.diff(indptr).max()))
     if bound > np.iinfo(np.int64).max:
@@ -165,16 +166,14 @@ def all_weights(g: Graph, labeling: Labeling | Sequence[int]) -> tuple[int, ...]
     return tuple(w.tolist())
 
 
-def verify_s_magic(g: Graph, labeling: Labeling | Sequence[int]) -> VerificationReport:
-    """Full audit: bijectivity onto the label set and constant vertex weights."""
-    labels = _labels_tuple(g, labeling)
+def _report(labels: tuple[int, ...], weights: tuple[int, ...]) -> VerificationReport:
+    """The audit shared by both verifiers: labels distinct and positive, weights equal."""
     violations: list[str] = []
     if min(labels) < 1:
         violations.append("non-positive label")
     counts = Counter(labels)
     for v in sorted(v for v, c in counts.items() if c > 1):
         violations.append(f"label {v} assigned to {counts[v]} vertices")
-    weights = all_weights(g, labels)
     if min(weights) != max(weights):
         # report a handful of offending pairs against vertex 0
         bad = [v for v, x in enumerate(weights) if x != weights[0]]
@@ -182,7 +181,7 @@ def verify_s_magic(g: Graph, labeling: Labeling | Sequence[int]) -> Verification
             violations.append(f"w(0)={weights[0]} != w({v})={weights[v]}")
     is_magic = not violations
     constant = weights[0] if is_magic else None
-    is_dm = is_magic and sorted(labels) == list(range(1, g.order + 1))
+    is_dm = is_magic and sorted(labels) == list(range(1, len(labels) + 1))
     return VerificationReport(
         is_magic=is_magic,
         constant=constant,
@@ -190,6 +189,34 @@ def verify_s_magic(g: Graph, labeling: Labeling | Sequence[int]) -> Verification
         violations=violations,
         is_distance_magic=is_dm,
     )
+
+
+def verify_s_magic(g: Graph, labeling: Labeling | Sequence[int]) -> VerificationReport:
+    """Full audit: bijectivity onto the label set and constant vertex weights."""
+    labels = _labels_tuple(g.order, labeling)
+    return _report(labels, all_weights(g, labels))
+
+
+def verify_blowup(
+    base: Graph, n: int, labeling: Labeling | Sequence[int]
+) -> VerificationReport:
+    """verify_s_magic on the blow-up base[K̄n], without building its edges.
+
+    Vertex v lies in fiber v // n, the ids of lex_product(base,
+    empty_graph(n)) and of disjoint unions of such blow-ups.  Its neighbors
+    are all the vertices of the fibers adjacent to its own in base, so its
+    weight is the sum of those fibers' label sums: every vertex of fiber i
+    weighs W_i = sum of s_j over j in N_base(i), where s_j is the sum of
+    fiber j's labels.  The fiber sums are Python integers and all_weights
+    sums them exactly, so the report is the one verify_s_magic gives on the
+    built graph, field for field, in O(n |V(base)| + |E(base)|) work.
+    """
+    if n < 1:
+        raise ValueError(f"fiber size must be >= 1, got {n}")
+    labels = _labels_tuple(base.order * n, labeling)
+    fiber_sums = [sum(labels[i : i + n]) for i in range(0, len(labels), n)]
+    weights = tuple(w for w in all_weights(base, fiber_sums) for _ in range(n))
+    return _report(labels, weights)
 
 
 # ---------------------------------------------------------------------------

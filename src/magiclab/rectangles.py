@@ -414,7 +414,11 @@ def rectangle_from_csv(text: str) -> Rectangle:
     for idx, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {idx + 1} has {len(row)} cells, expected {width}")
-    return Rectangle(np.array(rows, dtype=np.int64), ceiling, deleted)
+    try:
+        entries = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("cell outside the int64 range") from None
+    return Rectangle(entries, ceiling, deleted)
 
 
 def rectangle_to_json(rect: Rectangle) -> dict:

@@ -9,6 +9,7 @@ reported index is minimal by construction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,6 +59,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.theta_cap < 0:
             raise ValueError(f"theta_cap must be >= 0, got {self.theta_cap}")
+        if self.node_limit is not None and self.node_limit < 0:
+            # the kernel reads a negative limit as "unlimited"
+            raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
+        if self.budget_ms is not None and math.isnan(self.budget_ms):
+            raise ValueError("budget_ms must be a number, got NaN")
 
 
 def _as_label_tuple(g: Graph, label_set: LabelSet | Iterable[int]) -> tuple[int, ...]:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magiclab.cli import main
 from magiclab.graphs import build_multipartite, emit_edge_list, graph_to_json
@@ -295,3 +299,182 @@ class TestInputErrors:
         code, out = run(capsys, "verify", "--graph", k33_file, "--labels", str(labels_file))
         assert code == 1
         assert json.loads(out)["weights"] == [7, 7, 7, 2**64 + 7, 2**64 + 7, 2**64 + 7]
+
+    def test_graph_json_fractional_or_boolean_ids_exit_2(self, capsys, tmp_path):
+        # int() used to truncate 2.5 to 2 and read true as vertex 1
+        graph_file = tmp_path / "g.json"
+        for doc in ('{"order": 2.5}', '{"order": 1e400}', '{"order": 3, "edges": [[0.5, 1]]}',
+                    '{"order": 3, "edges": [[true, 2]]}', '{"order": 3, "edges": [[0]]}'):
+            graph_file.write_text(doc)
+            assert main(["index", "--graph", str(graph_file)]) == 2
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_order_exits_2_before_allocating(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.txt"
+        for text in ("n 99999999999999999999999\n0 1\n", "0 99999999999999999999999\n",
+                     '{"order": 99999999999999999999999}'):
+            graph_file.write_text(text)
+            assert main(["verify", "--graph", str(graph_file), "--labels", str(graph_file)]) == 2
+            assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_oversized_construction_exits_2(self, capsys):
+        assert main(["construct", "--family", "hnp", "--n", "1000", "--p", "1001"]) == 2
+        assert main(["rect", "--case", "even", "--n", "2", "--p", "500001"]) == 2
+        assert "above the limit" in capsys.readouterr().err
+
+    def test_eit_with_non_magic_labels_reports_verification(self, capsys, tmp_path, k33_file):
+        labels_file = tmp_path / "lab.txt"
+        labels_file.write_text("1 2 3 4 5 6")
+        code, out = run(
+            capsys, "eit", "--teams", "6", "--rounds", "3",
+            "--graph", k33_file, "--labels", str(labels_file),
+        )
+        assert code == 1
+        assert json.loads(out)["is_magic"] is False
+
+    def test_negative_or_nan_budget_exits_2(self, capsys, k33_file):
+        # a negative node limit used to mean "unlimited" inside the kernel
+        assert main(["index", "--graph", k33_file, "--budget", "-5"]) == 2
+        assert main(["index", "--graph", k33_file, "--budget-ms", "nan"]) == 2
+
+    def test_oversized_rectangle_cell_exits_2(self, capsys, tmp_path):
+        rect_file = tmp_path / "r.csv"
+        rect_file.write_text(f"{2**70},1\n2,3\n")
+        assert main(["rect", "--case", "split", "--input", str(rect_file), "--pieces", "1"]) == 2
+        assert "int64" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed argv and input files through main(), in-process
+# ---------------------------------------------------------------------------
+
+_INTS = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "4", "5", "7", "x", "2.5", "", "99999999999999999999999"])
+
+_GRAPH_TEXT = st.one_of(
+    st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=7).map(
+        lambda es: "".join(f"{u} {v}\n" for u, v in es)
+    ),
+    st.builds(
+        lambda header, body: f"n {header}\n{body}",
+        _INTS,
+        st.sampled_from(["0 1\n1 2\n", "0 1\n1 2\n2 3\n3 0\n", "0 0\n", "0 1\n0 1\n", "a b\n", "1 2 3\n"]),
+    ),
+    st.builds(
+        lambda order, edges: json.dumps({"order": order, "edges": edges}),
+        st.sampled_from([3, 4, 0, -1, "4", None, 2.5, True, [], 10**23, float("inf"), float("nan")]),
+        st.sampled_from([[[0, 1], [1, 2]], [[0, 1], [1, 2], [2, 3], [3, 0]], [[0]], [[0, 1, 2]], 5, [["a", 1]],
+                         [[0.5, 1]], None, [[0, 9]], [[1, 1]]]),
+    ),
+    st.sampled_from(["", "#\n", "{", "{}", "[1, 2]", "n 3\nn 3\n", '{"order": 1e400}', "0 1\n1 2\n2 0\n"]),
+    st.text(max_size=30),
+)
+
+_LABEL_TEXT = st.one_of(
+    st.lists(st.integers(-2, 9), max_size=7).map(lambda xs: " ".join(map(str, xs))),
+    st.sampled_from([[1, 2, 4, 3], [1, 2, 3], [1.5, 2, 3, 4], [True, 2, 3, 4], "1234", None, [2**70, 1, 2, 3]]).map(
+        lambda labels: json.dumps({"labels": labels})
+    ),
+    st.sampled_from(["", "{", "[1, 2, 3, 4]", "1 2 x 4", "1.0 2 3 4", "9" * 30 + " 1 2 3"]),
+    st.text(max_size=30),
+)
+
+_RECT_TEXT = st.one_of(
+    st.lists(
+        st.lists(st.sampled_from(["1", "2", "3", "4", "0", "-3", "a", "", "9" * 25]), min_size=1, max_size=3),
+        max_size=3,
+    ).map(lambda rows: "".join(",".join(row) + "\n" for row in rows)),
+    st.sampled_from([
+        "1,2\n3,4\n", "# label_ceiling: x\n1,2\n", "# deleted: a\n1,2\n", "1,2\n3\n", "", "1,a\n",
+        "9" * 25 + ",1\n", "# label_ceiling: 7\n# deleted: 6\n1,2\n5,4\n7,3\n", "0,0\n", "-5,3\n",
+        "# deleted: 1,2\n1,2\n", "1,2,3\n4,5,6\n",
+    ]),
+    st.text(max_size=30),
+)
+
+
+# (edge list, order, degree) of regular graphs, so that eit --graph runs
+_REGULAR = st.sampled_from([
+    ("0 1\n1 2\n2 3\n3 0\n", "4", "2"),
+    ("0 1\n1 2\n2 0\n", "3", "2"),
+    (emit_edge_list(build_multipartite(3, 2)), "6", "3"),
+])
+
+
+@st.composite
+def _fuzz_case(draw):
+    """(argv, files): a command line mixing valid and invalid options.
+
+    Each command always gets the options it needs to read its files, so the
+    malformed contents are actually parsed.  Searches stay budgeted.
+    """
+    files = {"g.txt": draw(_GRAPH_TEXT), "l.txt": draw(_LABEL_TEXT), "r.csv": draw(_RECT_TEXT)}
+
+    def some(*options):
+        return [tok for opt in options if draw(st.booleans()) for tok in opt]
+
+    command = draw(st.sampled_from(["construct", "verify", "verify", "index", "rect", "rect", "eit", "eit", ""]))
+    budget = ["--budget", draw(st.sampled_from(["-5", "0", "10", "2000", "x"]))]
+    if command == "construct":
+        family = draw(st.sampled_from(["hnp", "m-hnp", "m-cycle-lex", "lex", "x"]))
+        rest = ["--family", family, "--n", draw(_INTS), "--base", "g.txt"] + some(
+            ["--p", draw(_INTS)], ["--m", draw(_INTS)],
+            ["--out", draw(st.sampled_from(["json", "csv", "xml"]))], ["--one-indexed"],
+        )
+    elif command == "verify":
+        rest = ["--graph", "g.txt", "--labels", "l.txt"] + some(["--one-indexed"], ["--graph", "missing.txt"])
+    elif command == "index":
+        rest = ["--graph", "g.txt"] + budget + some(
+            ["--cap", draw(st.sampled_from(["-1", "0", "1", "x"]))],
+            ["--budget-ms", draw(st.sampled_from(["-1", "0", "50", "nan", "inf"]))],
+            ["--one-indexed"],
+        )
+    elif command == "rect":
+        case = draw(st.sampled_from(["1", "2", "3", "even", "odd", "complement", "split", "split", "9"]))
+        rest = ["--case", case, "--input", "r.csv", "--pieces", draw(_INTS)] + some(
+            ["--n", draw(_INTS)], ["--p", draw(_INTS)], ["--m", draw(_INTS)],
+            ["--out", draw(st.sampled_from(["csv", "json"]))],
+        )
+    elif command == "eit":
+        teams, rounds = draw(_INTS), draw(_INTS)
+        if draw(st.booleans()):
+            # a graph that passes the teams and rounds checks, often with a
+            # labeling of the right length
+            files["g.txt"], teams, rounds = draw(_REGULAR)
+            if draw(st.booleans()):
+                files["l.txt"] = " ".join(map(str, draw(st.permutations(range(1, int(teams) + 1)))))
+        rest = ["--teams", teams, "--rounds", rounds] + some(
+            budget, ["--graph", "g.txt"], ["--labels", "l.txt"],
+            ["--format", draw(st.sampled_from(["json", "table"]))],
+        )
+    else:
+        rest = some(["--help"], ["-x"])
+    return ([command] if command else []) + rest, files
+
+
+class TestFuzz:
+    """main() never raises, exits 0-3, and exits 1 only on a negative verdict.
+
+    Exit 1 means "verified not magic" (a report with "is_magic": false) or,
+    for an eit feasibility query, "infeasible".
+    """
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=_fuzz_case())
+    def test_main_contract(self, tmp_path_factory, case):
+        argv, files = case
+        work = tmp_path_factory.mktemp("fuzz")
+        for name, text in files.items():
+            (work / name).write_bytes(text.encode("utf-8", "surrogatepass"))
+        argv = [str(work / a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            text = out.getvalue()
+            if argv[0] == "eit" and "--graph" not in argv and "table" in argv:
+                assert ": infeasible --" in text
+            else:
+                doc = json.loads(text)
+                assert doc.get("is_magic") is False or doc.get("feasible") is False

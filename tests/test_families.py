@@ -1,5 +1,11 @@
-import pytest
+from fractions import Fraction
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magiclab import families
 from magiclab.families import (
     HypothesisError,
     NotMagicError,
@@ -14,6 +20,7 @@ from magiclab.families import (
 )
 from magiclab.graphs import (
     Graph,
+    build_circulant,
     build_cycle,
     build_multipartite,
     disjoint_union,
@@ -200,6 +207,23 @@ class TestThetaLexBlowup:
         assert blown.witness is None
         assert blown.theorem == "regular-blowup-tournament"
 
+    def test_nonsingular_base_gets_deleted_witness(self):
+        # 4*C3 has det A = 16: theta = 0 would need every fiber sum to be
+        # the half-integer 55.5, so the deleted rectangle is optimal
+        base = disjoint_union(build_cycle(3), 4)
+        r = theta_lex_blowup(base, 3)
+        assert (r.theta, r.constant) == (1, 112)
+        assert r.theorem == "regular-blowup-nonsingular"
+        check_witness(r, lex_product(base, empty_graph(3)))
+        same = theta_m_hnp(4, 3, 3)
+        assert (same.theta, same.constant) == (r.theta, r.constant)
+
+    def test_singular_circulant_keeps_tournament_rule(self):
+        # circ(12;1,2) has eigenvalue 0 at k = 6
+        r = theta_lex_blowup(build_circulant(12, [1, 2]), 3)
+        assert r.theorem == "regular-blowup-tournament"
+        assert (r.theta, r.witness) == (0, None)
+
     def test_edgeless_base(self):
         r = theta_lex_blowup(empty_graph(4), 3)
         assert (r.theta, r.constant) == (0, 0)
@@ -209,6 +233,132 @@ class TestThetaLexBlowup:
         path = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(NotRegularError):
             theta_lex_blowup(path, 2)
+
+
+def det_by_fractions(g):
+    """Reference determinant of the adjacency matrix by rational elimination."""
+    size = g.order
+    a = [[Fraction(int(v in g.neighbors(u))) for v in range(size)] for u in range(size)]
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, size):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+class TestNonsingular:
+    @pytest.mark.parametrize(
+        "g,want",
+        [
+            (build_cycle(3), True),
+            (build_cycle(4), False),
+            (build_cycle(6), True),
+            (build_multipartite(1, 4), True),
+            (build_multipartite(2, 3), False),
+            (disjoint_union(build_cycle(3), 4), True),
+            (build_circulant(12, [1, 2]), False),
+            (empty_graph(2), False),
+        ],
+    )
+    def test_known_graphs(self, g, want):
+        assert families._nonsingular(g) is want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_rational_elimination(self, data):
+        order = data.draw(st.integers(1, 7))
+        pairs = list(combinations(range(order), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(order, edges)
+        assert families._nonsingular(g) == (det_by_fractions(g) != 0)
+
+
+class TestDecompositionsAgree:
+    """The same graph reached through two dispatchers gets the same theta."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_m_hnp_is_blowup_of_complete_graphs(self, m, n, p):
+        a = theta_m_hnp(m, n, p)
+        b = theta_lex_blowup(disjoint_union(build_multipartite(1, p), m), n)
+        assert (a.theta, a.constant) == (b.theta, b.constant)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_triangle_blowup_is_multipartite(self, m, n):
+        a = theta_m_cycle_lex(m, 3, n)
+        b = theta_m_hnp(m, n, 3)
+        assert (a.theta, a.constant) == (b.theta, b.constant)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [3, 5, 6, 7, 10])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_cycle_blowup_is_regular_blowup(self, m, p, n):
+        a = theta_m_cycle_lex(m, p, n)
+        b = theta_lex_blowup(disjoint_union(build_cycle(p), m), n)
+        assert (a.theta, a.constant) == (b.theta, b.constant)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_four_cycle_blowup_is_bipartite(self, n):
+        assert theta_m_cycle_lex(1, 4, n).theta == theta_hnp(2 * n, 2).theta
+
+
+class TestNoBlowupBuilt:
+    """Witnesses are checked over the base: no graph larger than it is built."""
+
+    @pytest.mark.parametrize(
+        "call,base_order",
+        [
+            (lambda: theta_hnp(5, 6), 6),
+            (lambda: theta_hnp(4, 3), 3),
+            (lambda: theta_m_hnp(2, 3, 4), 8),
+            (lambda: theta_m_hnp(3, 3, 3), 9),
+            (lambda: theta_m_cycle_lex(2, 5, 3), 10),
+            (lambda: theta_m_cycle_lex(1, 8, 3), 8),
+            (lambda: theta_m_cycle_lex(2, 6, 2), 12),
+        ],
+    )
+    def test_family_dispatchers(self, monkeypatch, call, base_order):
+        orders = self._spy(monkeypatch)
+        assert call().is_finite
+        assert orders and max(orders) <= base_order
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            build_cycle(6),
+            PRISM,
+            build_multipartite(1, 4),
+            disjoint_union(build_cycle(3), 4),
+            build_circulant(12, [1, 2]),
+            empty_graph(4),
+        ],
+    )
+    def test_lex_blowup(self, monkeypatch, base):
+        orders = self._spy(monkeypatch)
+        assert theta_lex_blowup(base, 3).is_finite
+        assert max(orders, default=0) <= base.order
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[int]:
+        orders: list[int] = []
+        init = Graph.__init__
+
+        def counting_init(self, order, *args, **kwargs):
+            orders.append(order)
+            init(self, order, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        return orders
 
 
 class TestEitFeasible:

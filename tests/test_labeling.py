@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magiclab.graphs import Graph, build_cycle, build_multipartite, empty_graph
+from magiclab.graphs import (
+    Graph,
+    build_cycle,
+    build_multipartite,
+    disjoint_union,
+    empty_graph,
+    lex_product,
+)
 from magiclab.labeling import (
     Labeling,
     LabelSet,
@@ -16,10 +23,11 @@ from magiclab.labeling import (
     labeling_from_json,
     labeling_to_json,
     regular_constant,
+    verify_blowup,
     verify_s_magic,
     vertex_weight,
 )
-from magiclab.rectangles import case1, case2, complement
+from magiclab.rectangles import balanced_even, balanced_odd, case1, case2, complement
 
 
 def columns_labeling(rect, n):
@@ -124,6 +132,67 @@ class TestVerify:
         magic = len(set(want)) == 1 and len(set(labels)) == order
         assert report.is_magic == magic
         assert report.constant == (want[0] if magic else None)
+
+
+@st.composite
+def blowup_labelings(draw):
+    """(base, n, labels): a small base, possibly irregular or a union, n <= 4.
+
+    Labels are a permutation of {1..order}, a balanced rectangle read column
+    by column (magic whenever the base is regular), small integers with
+    repeats and non-positive values, or labels at and beyond 2^63.
+    """
+    order = draw(st.integers(1, 5))
+    pairs = list(combinations(range(order), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    base = disjoint_union(Graph(order, edges), draw(st.integers(1, 2)))
+    n = draw(st.integers(1, 4))
+    size = base.order * n
+    kinds = ["permutation", "small", "huge"]
+    if n % 2 == 0 or (n >= 3 and base.order % 2 == 1):
+        kinds.append("balanced")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "permutation":
+        labels = draw(st.permutations(range(1, size + 1)))
+    elif kind == "balanced":
+        rect = (balanced_even if n % 2 == 0 else balanced_odd)(n, base.order)
+        labels = columns_labeling(rect, n).labels
+    else:
+        label = st.integers(-2, size + 2) if kind == "small" else st.integers(2**63 - 4, 2**65)
+        labels = draw(st.lists(label, min_size=size, max_size=size))
+    return base, n, list(labels)
+
+
+class TestVerifyBlowup:
+    @settings(max_examples=300, deadline=None)
+    @given(blowup_labelings())
+    def test_matches_verifier_on_built_blowup(self, case):
+        base, n, labels = case
+        assert verify_blowup(base, n, labels) == verify_s_magic(
+            lex_product(base, empty_graph(n)), labels
+        )
+
+    def test_h56_golden_constant(self):
+        report = verify_blowup(build_multipartite(1, 6), 5, columns_labeling(case2(3), 5))
+        assert report.is_magic and report.constant == 390
+        assert report == verify_s_magic(build_multipartite(5, 6), columns_labeling(case2(3), 5))
+
+    def test_distance_magic_flag(self):
+        report = verify_blowup(build_cycle(3), 2, columns_labeling(balanced_even(2, 3), 2))
+        assert report.is_magic and report.is_distance_magic
+        assert report.constant == 14
+
+    def test_no_int64_wraparound(self):
+        # K_{3,3} = K_2[K̄3]: fiber sums 2^64 + 7 and 7
+        report = verify_blowup(build_multipartite(1, 2), 3, [2**63 - 1, 2**63 - 2, 10, 1, 2, 4])
+        assert not report.is_magic
+        assert report.weights == (7, 7, 7, 2**64 + 7, 2**64 + 7, 2**64 + 7)
+
+    def test_bad_input_raises(self):
+        with pytest.raises(ValueError):
+            verify_blowup(build_cycle(4), 2, [1, 2, 3])
+        with pytest.raises(ValueError):
+            verify_blowup(build_cycle(4), 0, [])
 
 
 class TestRegularConstant:
