@@ -216,17 +216,17 @@ def _cmd_eit(args: argparse.Namespace) -> int:
             )
         if args.labels:
             labeling = _load_labeling(args.labels)
-            report = verify_s_magic(graph, labeling)
-            if not report.is_magic:
-                _print_json(report.to_json_dict())
-                return EXIT_NEGATIVE
         else:
             result = search.compute_index(graph, _search_config(args))
             if result.witness is None:
                 _print_json(result.to_json_dict())
                 return EXIT_INDETERMINATE
             labeling = result.witness
-        schedule = families.eit_schedule(graph, labeling)
+        try:
+            schedule = families.eit_schedule(graph, labeling)
+        except families.NotMagicError:
+            _print_json(verify_s_magic(graph, labeling).to_json_dict())
+            return EXIT_NEGATIVE
         if args.format == "table":
             print(families.schedule_table(schedule), end="")
         else:

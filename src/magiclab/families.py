@@ -147,30 +147,80 @@ def _checked(result: IndexResult, base: Graph, n: int) -> IndexResult:
     return result
 
 
-def _nonsingular(g: Graph) -> bool:
-    """Whether the adjacency matrix of g has a nonzero determinant.
+# The determinant test below eliminates at most this many vertices in
+# total, which bounds its cost to one dense elimination of this order.
+DET_MAX_ORDER = 300
+_DET_PRIME = 2**31 - 1  # residues below 2**31, so every product fits int64
 
-    Fraction-free (Bareiss) elimination over Python integers: every entry it
-    forms is a minor of the matrix, so each division is exact and the test
-    involves no rounding.
+
+def _distinct_components(g: Graph) -> list[tuple[tuple[int, ...], ...]] | None:
+    """Adjacency lists of g's components over local ids, repeats dropped.
+
+    A component's local ids follow its sorted vertex ids, so the m copies of
+    a disjoint union give one list.  None when the kept
+    components hold more than DET_MAX_ORDER vertices between them.
     """
-    size = g.order
-    a = [[0] * size for _ in range(size)]
-    for u in range(size):
-        for v in g.neighbors(u):
-            a[u][v] = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
-            if pivot is None:
-                return False
-            a[k], a[pivot] = a[pivot], a[k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return a[-1][-1] != 0
+    seen = [False] * g.order
+    kept: dict[tuple[tuple[int, ...], ...], None] = {}
+    kept_order = 0
+    for root in range(g.order):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [root], [root]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+            if len(comp) > DET_MAX_ORDER:
+                return None
+        comp.sort()
+        local = {v: i for i, v in enumerate(comp)}
+        key = tuple(tuple(sorted(local[w] for w in g.neighbors(v))) for v in comp)
+        if key not in kept:
+            kept[key] = None
+            kept_order += len(comp)
+            if kept_order > DET_MAX_ORDER:
+                return None
+    return list(kept)
+
+
+def _det_nonzero_mod_prime(nbrs: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the adjacency determinant is nonzero modulo _DET_PRIME."""
+    size = len(nbrs)
+    a = np.zeros((size, size), dtype=np.int64)
+    for u, row in enumerate(nbrs):
+        a[u, list(row)] = 1
+    q = _DET_PRIME
+    for k in range(size):
+        rows = np.flatnonzero(a[k:, k])
+        if rows.size == 0:
+            return False
+        if rows[0]:
+            a[[k, k + rows[0]]] = a[[k + rows[0], k]]
+        factors = a[k + 1:, k] * pow(int(a[k, k]), q - 2, q) % q
+        a[k + 1:, k:] = (a[k + 1:, k:] - factors[:, None] * a[k, k:] % q) % q
+    return True
+
+
+def _nonsingular(g: Graph) -> bool | None:
+    """Whether the adjacency matrix of g is proven to have nonzero determinant.
+
+    det A(g) is the product of its components' determinants, and each is
+    reduced modulo the prime q = 2^31 - 1 by elimination over int64; there
+    is no rounding.  True: every residue is nonzero, which proves A(g)
+    nonsingular.  False: some residue is 0, so A(g) is singular unless q
+    divides a nonzero determinant (impossible while |det| < q, which the
+    Hadamard bound guarantees for every component of order <= 22).  None:
+    the components, after dropping repeats, hold more than DET_MAX_ORDER
+    vertices and were not tested.
+    """
+    comps = _distinct_components(g)
+    if comps is None:
+        return None
+    return all(_det_nonzero_mod_prime(c) for c in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +338,9 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
     A(g) s = c 1, and so does the constant vector (c/r) 1.  When A(g) is
     nonsingular the two agree, so every fiber sum would equal n(np+1)/2,
     which is not an integer for odd n and even p; hence theta >= 1, and the
-    deleted-label rectangle attains it.
+    deleted-label rectangle attains it.  Nonsingularity is tested only
+    while g's distinct components hold at most DET_MAX_ORDER vertices; a
+    larger base keeps the 0 answer, with a detail saying it was not tested.
     """
     if n < 1:
         raise HypothesisError(f"requires n >= 1, got n={n}")
@@ -322,7 +374,7 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
             r * ((n * n * p + n + 1) // 2),
             [construct_deleted(n, p)],
         )
-    elif _nonsingular(g):
+    elif (nonsingular := _nonsingular(g)):
         result = _witnessed(
             1,
             "regular-blowup-nonsingular",
@@ -330,15 +382,22 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
             [construct_deleted(n, p)],
         )
     else:
+        detail = (
+            "distance magic via equalized-tournament constructions from "
+            "prior work; use exact search for a witness at desk scale"
+        )
+        if nonsingular is None:
+            detail += (
+                f"; A(g) was not tested for singularity (more than "
+                f"{DET_MAX_ORDER} distinct component vertices), and if it is "
+                "nonsingular the index is 1"
+            )
         result = IndexResult(
             kind="finite",
             theta=0,
             method="closed-form",
             theorem="regular-blowup-tournament",
-            detail=(
-                "distance magic via equalized-tournament constructions from "
-                "prior work; use exact search for a witness at desk scale"
-            ),
+            detail=detail,
         )
     return _checked(result, g, n)
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -224,6 +225,25 @@ class TestThetaLexBlowup:
         assert r.theorem == "regular-blowup-tournament"
         assert (r.theta, r.witness) == (0, None)
 
+    def test_large_union_of_nonsingular_components(self):
+        # repeated components are tested once, so 1000*C3 (det 2^1000) is
+        # decided from one 3 x 3 elimination
+        base = disjoint_union(build_cycle(3), 1000)
+        r = theta_lex_blowup(base, 3)
+        assert r.theorem == "regular-blowup-nonsingular"
+        same = theta_m_hnp(1000, 3, 3)
+        assert (r.theta, r.constant) == (same.theta, same.constant) == (1, 27004)
+
+    def test_large_base_skips_determinant(self):
+        # C_4000 is one component above DET_MAX_ORDER: no elimination runs,
+        # the answer stays the tournament rule and says it was not tested
+        start = time.perf_counter()
+        r = theta_lex_blowup(build_cycle(4000), 3)
+        assert time.perf_counter() - start < 5.0
+        assert (r.theta, r.witness) == (0, None)
+        assert r.theorem == "regular-blowup-tournament"
+        assert "not tested" in r.detail
+
     def test_edgeless_base(self):
         r = theta_lex_blowup(empty_graph(4), 3)
         assert (r.theta, r.constant) == (0, 0)
@@ -266,10 +286,19 @@ class TestNonsingular:
             (disjoint_union(build_cycle(3), 4), True),
             (build_circulant(12, [1, 2]), False),
             (empty_graph(2), False),
+            (build_cycle(families.DET_MAX_ORDER - 2), True),
+            (build_cycle(families.DET_MAX_ORDER + 2), None),  # not tested
         ],
     )
     def test_known_graphs(self, g, want):
         assert families._nonsingular(g) is want
+
+    def test_determinant_above_the_prime(self):
+        # the test works with residues mod 2^31 - 1; this determinant is
+        # about 3.3e12, far above the prime, and its residue is nonzero
+        g = build_circulant(43, [1, 3, 4, 9, 13])
+        assert abs(det_by_fractions(g)) > 2**31
+        assert families._nonsingular(g) is True
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
