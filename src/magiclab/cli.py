@@ -79,6 +79,11 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _index_exit(result: families.IndexResult) -> int:
+    """A decided index (finite or infinite) exits 0; an undecided one exits 3."""
+    return EXIT_OK if result.kind in ("finite", "infinite") else EXIT_INDETERMINATE
+
+
 def _default_budget_ms() -> float | None:
     raw = os.environ.get("MAGICLAB_BUDGET_MS", "").strip()
     if not raw:
@@ -132,7 +137,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             print(f"{v},{lab}")
     else:
         _print_json(result.to_json_dict())
-    return EXIT_OK
+    return _index_exit(result)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -150,9 +155,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.one_indexed)
     result = search.compute_index(graph, _search_config(args))
     _print_json(result.to_json_dict())
-    if result.kind in ("finite", "infinite"):
-        return EXIT_OK
-    return EXIT_INDETERMINATE
+    return _index_exit(result)
 
 
 def _build_rect(args: argparse.Namespace) -> list[rectangles.Rectangle]:

@@ -1,11 +1,17 @@
 """Closed-form distance magic indices for the supported graph families.
 
-Each dispatcher returns an IndexResult carrying the index, the rule that
-decided it, and -- whenever this toolkit can build one -- a witness labeling
-assembled from a label rectangle whose columns fill the parts or blow-up
-fibers.  Branches whose constructions live in prior work outside this
-package report the closed form with no witness; at desk scale the exact
-search module can still produce one.
+Every family here is a blow-up B[K̄n] of an r-regular base B: K_p for
+theta_hnp, m·K_p for theta_m_hnp, m·C_p for theta_m_cycle_lex and any
+regular g for theta_lex_blowup.  Each public dispatcher checks its
+hypothesis, builds only its base, and hands it to one rule (_blowup), with
+the fact it knows about A(B) when it has one.  The rule returns an
+IndexResult carrying the index, the theorem that decided it and, whenever
+this toolkit can build one, a witness: one n x |V(B)| label rectangle read
+column by column, so base vertex b gets column b.  Each witness is checked
+on its fiber sums over B before it is returned.  Branches whose
+constructions live in prior work outside this package report the closed
+form with no witness; at desk scale the exact search module can still
+produce one.
 """
 
 from __future__ import annotations
@@ -16,13 +22,7 @@ import numpy as np
 
 from .graphs import Graph, build_cycle, build_multipartite, disjoint_union, regular_degree
 from .labeling import Labeling, verify_blowup, verify_s_magic
-from .rectangles import (
-    Rectangle,
-    balanced_even,
-    balanced_odd,
-    construct_deleted,
-    split,
-)
+from .rectangles import balanced_even, balanced_odd, construct_deleted
 
 __all__ = [
     "IndexResult",
@@ -99,52 +99,6 @@ class IndexResult:
         if self.detail:
             doc["detail"] = self.detail
         return doc
-
-
-def _columns_labeling(pieces: list[Rectangle]) -> Labeling:
-    """Read pieces column-by-column into a label vector.
-
-    Matches the vertex layout shared by every family builder: vertex
-    k*(n*p) + g*n + h is the h-th member of part/fiber g in copy k, so it
-    receives entry (h, g) of piece k.
-    """
-    return Labeling(tuple(np.concatenate([p.entries.T.ravel() for p in pieces]).tolist()))
-
-
-def _witnessed(
-    theta: int, theorem: str, constant: int, pieces: list[Rectangle]
-) -> IndexResult:
-    """A closed-form answer whose witness reads the pieces column by column."""
-    return IndexResult(
-        kind="finite",
-        theta=theta,
-        method="closed-form",
-        theorem=theorem,
-        constant=constant,
-        witness=_columns_labeling(pieces),
-    )
-
-
-def _checked(result: IndexResult, base: Graph, n: int) -> IndexResult:
-    """Verify the witness on base[K̄n] before handing the result out; never emit junk.
-
-    Every family here is a blow-up base[K̄n], and the witness is checked on
-    its fiber sums over base (verify_blowup), which is exact and never
-    builds the blow-up's edges.
-    """
-    if result.witness is not None:
-        report = verify_blowup(base, n, result.witness)
-        if not report.is_magic:
-            raise AssertionError(
-                f"constructed witness failed verification: {report.violations}"
-            )
-        if result.constant is None:
-            result.constant = report.constant
-        elif result.constant != report.constant:
-            raise AssertionError(
-                f"witness constant {report.constant} != closed form {result.constant}"
-            )
-    return result
 
 
 # The determinant test below eliminates at most this many vertices in
@@ -224,83 +178,127 @@ def _nonsingular(g: Graph) -> bool | None:
 
 
 # ---------------------------------------------------------------------------
-# complete multipartite graphs
+# the blow-up rule
+# ---------------------------------------------------------------------------
+
+def _blowup(
+    base: Graph, n: int, r: int, family: str, nonsingular: bool = False
+) -> IndexResult:
+    """Index of base[K̄n] for an r-regular base and n > 1, with its witness.
+
+    With p vertices in base, one n x p rectangle labels the blow-up, read
+    column by column: base vertex b gets column b, so vertex b*n + h gets
+    entry (h, b), and every fiber weight is r column sums.  The theorem is
+    named f"{family}-{branch}":
+    - balanced: θ=0 when r = 0 (any labeling), n is even or p is odd, by a
+      rectangle over {1..np};
+    - deleted: θ=1 for odd n and even p when r is odd, r = p = 2 (mod 4),
+      or the caller knows A(base) to be nonsingular, by the deleted-label
+      rectangle over {1..np+1} minus one label;
+    - nonsingular: the same answer and witness, once the determinant test
+      proves A(base) nonsingular;
+    - tournament: θ=0 otherwise, claimed without a witness.
+
+    Why nonsingularity gives θ=1: a distance magic labeling has fiber sums s
+    with A(base) s = c 1, and so does the constant vector (c/r) 1.  When
+    A(base) is nonsingular the two agree, so every fiber sum would equal
+    n(np+1)/2, which is not an integer for odd n and even p.  The test runs
+    only while base's distinct components hold at most DET_MAX_ORDER
+    vertices; a larger base keeps the 0 answer, with a detail saying so.
+
+    Every witness is checked on its fiber sums over base (verify_blowup),
+    which is exact and never builds the blow-up's edges.
+    """
+    p = base.order
+    if r == 0:
+        # edgeless base: every weight is 0, so column b may hold b*n+1..b*n+n
+        entries = np.arange(1, n * p + 1).reshape(p, n).T
+        theta, branch = 0, "balanced"
+    elif n % 2 == 0 or p % 2 == 1:
+        rect = balanced_even(n, p) if n % 2 == 0 else balanced_odd(n, p)
+        theta, branch, entries = 0, "balanced", rect.entries
+    elif nonsingular or r % 2 == 1 or (r % 4 == 2 and p % 4 == 2):
+        theta, branch, entries = 1, "deleted", construct_deleted(n, p).entries
+    elif (tested := _nonsingular(base)):
+        theta, branch, entries = 1, "nonsingular", construct_deleted(n, p).entries
+    else:
+        detail = (
+            "distance magic via equalized-tournament constructions from "
+            "prior work; use exact search for a witness at desk scale"
+        )
+        if tested is None:
+            detail += (
+                f"; A(g) was not tested for singularity (more than "
+                f"{DET_MAX_ORDER} distinct component vertices), and if it is "
+                "nonsingular the index is 1"
+            )
+        return IndexResult(
+            kind="finite",
+            theta=0,
+            method="closed-form",
+            theorem=f"{family}-tournament",
+            detail=detail,
+        )
+    witness = Labeling(tuple(entries.T.ravel().tolist()))
+    report = verify_blowup(base, n, witness)
+    if not report.is_magic:
+        raise AssertionError(
+            f"constructed witness failed verification: {report.violations}"
+        )
+    return IndexResult(
+        kind="finite",
+        theta=theta,
+        method="closed-form",
+        theorem=f"{family}-{branch}",
+        constant=report.constant,
+        witness=witness,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the families: each builds its base and states what it knows of it
 # ---------------------------------------------------------------------------
 
 def theta_hnp(n: int, p: int) -> IndexResult:
-    """Index of the complete multipartite graph with p parts of size n.
+    """Index of the complete multipartite graph with p parts of size n, K_p[K̄n].
 
-    0 when n is even or both n and p are odd (balanced rectangle witness),
-    1 when n is odd and p is even (deleted-label rectangle witness).
+    0 when n is even or p is odd (balanced rectangle witness), 1 when n is
+    odd and p is even (deleted-label rectangle witness).
     """
     if n <= 1 or p <= 1:
         raise HypothesisError(f"requires n > 1 and p > 1, got n={n}, p={p}")
-    if n % 2 == 0 or p % 2 == 1:
-        rect = balanced_even(n, p) if n % 2 == 0 else balanced_odd(n, p)
-        result = _witnessed(
-            0, "multipartite-balanced", (p - 1) * (n * (n * p + 1) // 2), [rect]
-        )
-    else:
-        result = _witnessed(
-            1,
-            "multipartite-deleted",
-            (p - 1) * ((n * n * p + n + 1) // 2),
-            [construct_deleted(n, p)],
-        )
-    return _checked(result, build_multipartite(1, p), n)
+    return _blowup(build_multipartite(1, p), n, p - 1, "multipartite")
 
 
 def theta_m_hnp(m: int, n: int, p: int) -> IndexResult:
-    """Index of m disjoint copies of the complete multipartite graph.
+    """Index of m disjoint copies of the complete multipartite graph, (m·K_p)[K̄n].
 
-    0 when n is even or m*n*p is odd; 1 otherwise.  Witnesses label copy k
-    with the k-th piece of an n x (m*p) rectangle split column-wise.
+    0 when n is even or m*n*p is odd; 1 otherwise, because A(K_p) = J - I
+    is nonsingular.
     """
     if m < 1 or n <= 1 or p <= 1:
         raise HypothesisError(
             f"requires m >= 1, n > 1, p > 1, got m={m}, n={n}, p={p}"
         )
-    if n % 2 == 0 or (m * n * p) % 2 == 1:
-        rect = balanced_even(n, m * p) if n % 2 == 0 else balanced_odd(n, m * p)
-        result = _witnessed(
-            0,
-            "multipartite-union-balanced",
-            (p - 1) * (n * (n * m * p + 1) // 2),
-            split(rect, m),
-        )
-    else:
-        result = _witnessed(
-            1,
-            "multipartite-union-deleted",
-            (p - 1) * ((n * n * m * p + n + 1) // 2),
-            split(construct_deleted(n, m * p), m),
-        )
-    return _checked(result, disjoint_union(build_multipartite(1, p), m), n)
+    base = disjoint_union(build_multipartite(1, p), m)
+    return _blowup(base, n, p - 1, "multipartite-union", nonsingular=True)
 
-
-# ---------------------------------------------------------------------------
-# cycle blow-ups
-# ---------------------------------------------------------------------------
 
 def theta_m_cycle_lex(m: int, p: int, n: int) -> IndexResult:
-    """Index of m disjoint copies of the cycle on p vertices blown up by n.
+    """Index of m disjoint copies of the cycle on p vertices blown up by n, (m·C_p)[K̄n].
 
     0 when n is even, or m*n*p is odd, or n is odd with p = 0 (mod 4);
-    1 otherwise.  Fiber weights are two column sums, so witnesses reuse the
-    split rectangle machinery; the 0-branch for odd n with p = 0 (mod 4)
-    has no rectangle construction here and is reported without a witness.
+    1 otherwise, because A(C_p) is nonsingular when 4 does not divide p.
+    The 0-branch for odd n with p = 0 (mod 4) has no rectangle construction
+    here and is reported without a witness.
     """
     if m < 1 or n <= 1 or p < 3:
         raise HypothesisError(
             f"requires m >= 1, n > 1, p >= 3, got m={m}, n={n}, p={p}"
         )
-    if n % 2 == 0 or (m * n * p) % 2 == 1:
-        rect = balanced_even(n, m * p) if n % 2 == 0 else balanced_odd(n, m * p)
-        result = _witnessed(
-            0, "cycle-blowup-balanced", n * (n * m * p + 1), split(rect, m)
-        )
-    elif p % 4 == 0:
-        result = IndexResult(
+    base = disjoint_union(build_cycle(p), m)
+    if n % 2 == 1 and p % 4 == 0:
+        return IndexResult(
             kind="finite",
             theta=0,
             method="closed-form",
@@ -310,37 +308,16 @@ def theta_m_cycle_lex(m: int, p: int, n: int) -> IndexResult:
                 "construction lives in prior work, use exact search for a witness"
             ),
         )
-    else:
-        result = _witnessed(
-            1,
-            "cycle-blowup-deleted",
-            n * n * m * p + n + 1,
-            split(construct_deleted(n, m * p), m),
-        )
-    return _checked(result, disjoint_union(build_cycle(p), m), n)
+    return _blowup(base, n, 2, "cycle-blowup", nonsingular=True)
 
-
-# ---------------------------------------------------------------------------
-# blow-ups of arbitrary regular graphs
-# ---------------------------------------------------------------------------
 
 def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
-    """Index of the n-fold blow-up of a regular graph g.
+    """Index of the n-fold blow-up of a regular graph g, g[K̄n].
 
     With p vertices and degree r in g: 0 when n is even or p is odd.  For
     odd n and even p: 1 when r is odd, or when r = p = 2 (mod 4), or when
-    the adjacency matrix A(g) is nonsingular; otherwise 0.  Every fiber
-    weight is r column sums, so one rectangle labels the whole blow-up.
-    Blow-ups by 1 carry no rectangle structure and go straight to exact
-    search.
-
-    The nonsingular case: a distance magic labeling has fiber sums s with
-    A(g) s = c 1, and so does the constant vector (c/r) 1.  When A(g) is
-    nonsingular the two agree, so every fiber sum would equal n(np+1)/2,
-    which is not an integer for odd n and even p; hence theta >= 1, and the
-    deleted-label rectangle attains it.  Nonsingularity is tested only
-    while g's distinct components hold at most DET_MAX_ORDER vertices; a
-    larger base keeps the 0 answer, with a detail saying it was not tested.
+    the adjacency matrix A(g) is proven nonsingular; otherwise 0.  Blow-ups
+    by 1 carry no rectangle structure and go straight to exact search.
     """
     if n < 1:
         raise HypothesisError(f"requires n >= 1, got n={n}")
@@ -351,55 +328,7 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
         from .search import compute_index
 
         return compute_index(g)
-    p = g.order
-    if r == 0:
-        # edgeless base: every weight is 0 under any bijection
-        result = IndexResult(
-            kind="finite",
-            theta=0,
-            method="closed-form",
-            theorem="regular-blowup-balanced",
-            constant=0,
-            witness=Labeling(tuple(range(1, n * p + 1))),
-        )
-    elif n % 2 == 0 or p % 2 == 1:
-        rect = balanced_even(n, p) if n % 2 == 0 else balanced_odd(n, p)
-        result = _witnessed(
-            0, "regular-blowup-balanced", r * (n * (n * p + 1) // 2), [rect]
-        )
-    elif r % 2 == 1 or (r % 4 == 2 and p % 4 == 2):
-        result = _witnessed(
-            1,
-            "regular-blowup-deleted",
-            r * ((n * n * p + n + 1) // 2),
-            [construct_deleted(n, p)],
-        )
-    elif (nonsingular := _nonsingular(g)):
-        result = _witnessed(
-            1,
-            "regular-blowup-nonsingular",
-            r * ((n * n * p + n + 1) // 2),
-            [construct_deleted(n, p)],
-        )
-    else:
-        detail = (
-            "distance magic via equalized-tournament constructions from "
-            "prior work; use exact search for a witness at desk scale"
-        )
-        if nonsingular is None:
-            detail += (
-                f"; A(g) was not tested for singularity (more than "
-                f"{DET_MAX_ORDER} distinct component vertices), and if it is "
-                "nonsingular the index is 1"
-            )
-        result = IndexResult(
-            kind="finite",
-            theta=0,
-            method="closed-form",
-            theorem="regular-blowup-tournament",
-            detail=detail,
-        )
-    return _checked(result, g, n)
+    return _blowup(g, n, r, "regular-blowup")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from magiclab.graphs import (
     lex_product,
 )
 from magiclab.labeling import Labeling, verify_s_magic
-from magiclab.rectangles import case1, complement
+from magiclab.rectangles import case1, complement, construct_deleted
 
 
 def witness_graph(kind, *args):
@@ -97,6 +97,9 @@ class TestThetaMHnp:
         assert (r.theta, r.constant) == (1, 20)
         assert r.witness.label_set.deleted == (11,)
         check_witness(r, witness_graph("m-hnp", 2, 3, 2))
+        # base vertex b of 2*K_2 gets column b of one deleted rectangle
+        cols = construct_deleted(3, 4).entries.T
+        assert r.witness.labels == tuple(cols.ravel().tolist())
 
     def test_1_5_6_reduces(self):
         r = theta_m_hnp(1, 5, 6)
@@ -310,8 +313,12 @@ class TestNonsingular:
         assert families._nonsingular(g) == (det_by_fractions(g) != 0)
 
 
+def labels_of(result):
+    return None if result.witness is None else result.witness.labels
+
+
 class TestDecompositionsAgree:
-    """The same graph reached through two dispatchers gets the same theta."""
+    """The same graph reached through two dispatchers gets the same theta and witness."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -320,6 +327,7 @@ class TestDecompositionsAgree:
         a = theta_m_hnp(m, n, p)
         b = theta_lex_blowup(disjoint_union(build_multipartite(1, p), m), n)
         assert (a.theta, a.constant) == (b.theta, b.constant)
+        assert labels_of(a) == labels_of(b)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -335,10 +343,31 @@ class TestDecompositionsAgree:
         a = theta_m_cycle_lex(m, p, n)
         b = theta_lex_blowup(disjoint_union(build_cycle(p), m), n)
         assert (a.theta, a.constant) == (b.theta, b.constant)
+        assert labels_of(a) == labels_of(b)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_four_cycle_blowup_is_bipartite(self, n):
         assert theta_m_cycle_lex(1, 4, n).theta == theta_hnp(2 * n, 2).theta
+
+
+class TestAboveDeterminantCap:
+    """Bases above DET_MAX_ORDER: the families' own nonsingularity facts decide."""
+
+    def test_complete_graph_union(self):
+        # A(K_301) = J - I is nonsingular; no determinant test runs on 2*K_301
+        r = theta_m_hnp(2, 3, 301)
+        assert (r.theta, r.theorem) == (1, "multipartite-union-deleted")
+        assert r.witness is not None
+
+    def test_cycle_union(self):
+        # 4 does not divide 302, so A(C_302) is nonsingular
+        r = theta_m_cycle_lex(2, 302, 3)
+        assert (r.theta, r.theorem) == (1, "cycle-blowup-deleted")
+        assert r.witness is not None
+
+    def test_quarter_cycle(self):
+        r = theta_m_cycle_lex(1, 304, 3)
+        assert (r.theta, r.theorem, r.witness) == (0, "cycle-blowup-quarter", None)
 
 
 class TestNoBlowupBuilt:
