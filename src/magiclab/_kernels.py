@@ -1,19 +1,15 @@
 """Backtracking kernel for exact magic-labeling search.
 
-One source function drives both execution paths.  `backtrack_python` runs it
-interpreted over numpy arrays.  `backtrack` is the active build: the numba
-`@njit` compilation when numba is installed (the optional `jit` extra) and
-not disabled by MAGICLAB_NO_JIT=1 or NUMBA_DISABLE_JIT=1, otherwise the
-interpreted function itself.  `BACKEND` names the one in use.  The two paths
-are bit-for-bit equivalent, node counts included.  The search is the only
-hot loop in the package -- everything else is closed-form construction.
+`backtrack` runs interpreted over numpy arrays; `BACKEND` names it.  The
+search is the only hot loop in the package -- everything else is
+closed-form construction.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+BACKEND = "python"
 
 STATUS_DONE = 0
 STATUS_NODE_LIMIT = 1
@@ -22,7 +18,7 @@ STATUS_OUT_FULL = 2
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _backtrack_impl(
+def backtrack(
     indptr,
     nbrs,
     labels,
@@ -218,51 +214,3 @@ def _backtrack_impl(
         used[li] = False
         pick[depth] = -1
         li += 1
-
-
-backtrack_python = _backtrack_impl
-
-
-def _jit_enabled() -> bool:
-    if os.environ.get("MAGICLAB_NO_JIT", "").strip().lower() in ("1", "true", "yes"):
-        return False
-    if os.environ.get("NUMBA_DISABLE_JIT", "").strip() == "1":
-        return False
-    return True
-
-
-def _build_active():
-    if _jit_enabled():
-        try:
-            from numba import njit
-        except ImportError:
-            pass
-        else:
-            jitted = njit(cache=True)(_backtrack_impl)
-
-            def backtrack(
-                indptr,
-                nbrs,
-                labels,
-                have_c,
-                c_init,
-                prune,
-                node_limit,
-                stop_after,
-                max_out,
-                dptr=_EMPTY,
-                drow=_EMPTY,
-                dsign=_EMPTY,
-                twin_prev=_EMPTY,
-            ):
-                # pass every argument, so numba never has to type an omitted array default
-                return jitted(
-                    indptr, nbrs, labels, have_c, c_init, prune, node_limit,
-                    stop_after, max_out, dptr, drow, dsign, twin_prev,
-                )
-
-            return backtrack, "numba"
-    return _backtrack_impl, "python"
-
-
-backtrack, BACKEND = _build_active()

@@ -127,11 +127,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     if args.out == "csv":
         if result.witness is None:
-            raise CliError(
+            # a search result is already what `magiclab index` would report
+            message = result.detail if result.method == "search" else (
                 "no witness labeling constructed for this branch; "
-                "use `magiclab index` on the built graph for a desk-scale search",
-                code=EXIT_INDETERMINATE,
+                "use `magiclab index` on the built graph for a desk-scale search"
             )
+            raise CliError(message, code=EXIT_INDETERMINATE)
         print("vertex,label")
         for v, lab in enumerate(result.witness.labels):
             print(f"{v},{lab}")

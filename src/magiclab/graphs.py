@@ -48,16 +48,13 @@ class Graph:
         if order < 1:
             raise ValueError(f"graph order must be >= 1, got {order}")
         nbrs: list[set[int]] = [set() for _ in range(order)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < order and 0 <= v < order):
                 raise ValueError(f"edge ({u},{v}) out of range for order {order}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
+            if v in nbrs[u]:
+                raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
             nbrs[u].add(v)
             nbrs[v].add(u)
         self.order = order

@@ -77,6 +77,18 @@ class TestConstruct:
         assert json.loads(out)["kind"] == "unknown-at-cap"
         assert run(capsys, "index", "--graph", str(graph_file))[0] == 3
 
+    def test_lex_by_one_csv_reports_the_search(self, capsys, tmp_path):
+        graph_file = tmp_path / "c5.txt"
+        graph_file.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        code = main([
+            "construct", "--family", "lex", "--n", "1", "--base", str(graph_file),
+            "--out", "csv",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "no magic label set with index <= 1" in err
+        assert "magiclab index" not in err
+
     def test_output_round_trips(self, capsys):
         _, out = run(capsys, "construct", "--family", "hnp", "--n", "4", "--p", "3")
         doc = json.loads(out)

@@ -143,8 +143,10 @@ class TestInvariants:
     def test_rejects_self_loop_and_duplicates(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0,1\)"):
             Graph(3, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(1,2\)"):
+            Graph(3, [(2, 1), (2, 1)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 5)])
 
