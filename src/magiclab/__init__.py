@@ -20,7 +20,6 @@ from .families import (
     theta_m_hnp,
 )
 from .graphs import (
-    FamilySpec,
     Graph,
     build_circulant,
     build_cycle,

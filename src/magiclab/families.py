@@ -159,13 +159,13 @@ def _det_nonzero_mod_prime(nbrs: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
-def _nonsingular(g: Graph) -> bool | None:
-    """Whether the adjacency matrix of g is proven to have nonzero determinant.
+def _some_component_nonsingular(g: Graph) -> bool | None:
+    """Whether some component of g has a provably nonsingular adjacency matrix.
 
-    det A(g) is the product of its components' determinants, and each is
-    reduced modulo the prime q = 2^31 - 1 by elimination over int64; there
-    is no rounding.  True: every residue is nonzero, which proves A(g)
-    nonsingular.  False: some residue is 0, so A(g) is singular unless q
+    Each distinct component's determinant is reduced modulo the prime
+    q = 2^31 - 1 by elimination over int64; there is no rounding.  True:
+    some residue is nonzero, which proves that component's A nonsingular.
+    False: every residue is 0, so every component is singular unless q
     divides a nonzero determinant (impossible while |det| < q, which the
     Hadamard bound guarantees for every component of order <= 22).  None:
     the components, after dropping repeats, hold more than DET_MAX_ORDER
@@ -174,7 +174,7 @@ def _nonsingular(g: Graph) -> bool | None:
     comps = _distinct_components(g)
     if comps is None:
         return None
-    return all(_det_nonzero_mod_prime(c) for c in comps)
+    return any(_det_nonzero_mod_prime(c) for c in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +196,17 @@ def _blowup(
       or the caller knows A(base) to be nonsingular, by the deleted-label
       rectangle over {1..np+1} minus one label;
     - nonsingular: the same answer and witness, once the determinant test
-      proves A(base) nonsingular;
+      proves the adjacency matrix of some component of base nonsingular;
     - tournament: θ=0 otherwise, claimed without a witness.
 
-    Why nonsingularity gives θ=1: a distance magic labeling has fiber sums s
-    with A(base) s = c 1, and so does the constant vector (c/r) 1.  When
-    A(base) is nonsingular the two agree, so every fiber sum would equal
-    n(np+1)/2, which is not an integer for odd n and even p.  The test runs
-    only while base's distinct components hold at most DET_MAX_ORDER
-    vertices; a larger base keeps the 0 answer, with a detail saying so.
+    Why one nonsingular component gives θ=1: a distance magic labeling has
+    fiber sums s with A(base) s = c 1, and summing over all vertices gives
+    c/r = n(np+1)/2, the mean fiber sum.  On a component with adjacency
+    matrix A', the constant vector (c/r) 1 also solves A' x = c 1, so when
+    A' is nonsingular that component's fiber sums all equal n(np+1)/2,
+    which is not an integer for odd n and even p.  The test runs only while
+    base's distinct components hold at most DET_MAX_ORDER vertices; a
+    larger base keeps the 0 answer, with a detail saying so.
 
     Every witness is checked on its fiber sums over base (verify_blowup),
     which is exact and never builds the blow-up's edges.
@@ -219,7 +221,7 @@ def _blowup(
         theta, branch, entries = 0, "balanced", rect.entries
     elif nonsingular or r % 2 == 1 or (r % 4 == 2 and p % 4 == 2):
         theta, branch, entries = 1, "deleted", construct_deleted(n, p).entries
-    elif (tested := _nonsingular(base)):
+    elif (tested := _some_component_nonsingular(base)):
         theta, branch, entries = 1, "nonsingular", construct_deleted(n, p).entries
     else:
         detail = (
@@ -316,8 +318,9 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
 
     With p vertices and degree r in g: 0 when n is even or p is odd.  For
     odd n and even p: 1 when r is odd, or when r = p = 2 (mod 4), or when
-    the adjacency matrix A(g) is proven nonsingular; otherwise 0.  Blow-ups
-    by 1 carry no rectangle structure and go straight to exact search.
+    the adjacency matrix of some component of g is proven nonsingular;
+    otherwise 0.  Blow-ups by 1 carry no rectangle structure and go
+    straight to exact search.
     """
     if n < 1:
         raise HypothesisError(f"requires n >= 1, got n={n}")
@@ -399,8 +402,9 @@ def eit_feasible(n_teams: int, r: int) -> EitVerdict:
 def eit_schedule(g: Graph, labeling: Labeling) -> dict:
     """Tournament sheet from a magic labeling of a regular graph.
 
-    Team v has strength f(v) and plays exactly its neighbors; every
-    opponent-strength total is asserted equal to the magic constant.
+    Team v has strength f(v) and plays exactly its neighbors; each row's
+    opponent-strength total is v's weight from the verifier, which equals
+    the magic constant.
     """
     r = regular_degree(g)
     if r is None:
@@ -411,16 +415,13 @@ def eit_schedule(g: Graph, labeling: Labeling) -> dict:
     rows = []
     for v in range(g.order):
         opponents = list(g.neighbors(v))
-        strengths = [labeling[u] for u in opponents]
-        total = sum(strengths)
-        assert total == report.constant
         rows.append(
             {
                 "team": v,
                 "strength": labeling[v],
                 "opponents": opponents,
-                "opponent_strengths": strengths,
-                "total": total,
+                "opponent_strengths": [labeling[u] for u in opponents],
+                "total": report.weights[v],
             }
         )
     return {

@@ -7,14 +7,12 @@ be shared freely between verifier calls and parallel test workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Graph",
-    "FamilySpec",
     "EdgeListParseError",
     "MAX_INPUT_ORDER",
     "build_multipartite",
@@ -42,7 +40,7 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..order-1."""
 
-    __slots__ = ("order", "name", "_nbrs", "_csr", "_arc_src")
+    __slots__ = ("order", "name", "_nbrs", "_csr")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if order < 1:
@@ -63,7 +61,6 @@ class Graph:
             tuple(sorted(s)) for s in nbrs
         )
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._arc_src: np.ndarray | None = None
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._nbrs[u]
@@ -92,15 +89,6 @@ class Graph:
             )
             self._csr = (indptr, indices)
         return self._csr
-
-    def arc_sources(self) -> np.ndarray:
-        """Source vertex of every CSR arc; pairs with csr()[1] for weight sums."""
-        if self._arc_src is None:
-            indptr, _ = self.csr()
-            self._arc_src = np.repeat(
-                np.arange(self.order, dtype=np.int64), np.diff(indptr)
-            )
-        return self._arc_src
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -320,56 +308,3 @@ def graph_from_json(doc: dict | str) -> Graph:
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-# ---------------------------------------------------------------------------
-# family descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Validated description of one of the supported graph families.
-
-    kind is one of "multipartite" (m copies of the complete multipartite
-    graph with p parts of size n), "cycle-lex" (m copies of the cycle on p
-    vertices blown up by n), "lex-blowup" (an arbitrary base graph blown up
-    by n), or "custom" (a base graph taken as-is).
-    """
-
-    kind: str
-    n: int = 1
-    p: int = 1
-    m: int = 1
-    base: Graph | None = None
-
-    def __post_init__(self):
-        if self.kind == "multipartite":
-            if self.n <= 1 or self.p <= 1 or self.m < 1:
-                raise ValueError(
-                    f"multipartite needs n > 1, p > 1, m >= 1; got "
-                    f"n={self.n} p={self.p} m={self.m}"
-                )
-        elif self.kind == "cycle-lex":
-            if self.p < 3 or self.n <= 1 or self.m < 1:
-                raise ValueError(
-                    f"cycle-lex needs p >= 3, n > 1, m >= 1; got "
-                    f"n={self.n} p={self.p} m={self.m}"
-                )
-        elif self.kind == "lex-blowup":
-            if self.base is None or self.n < 1:
-                raise ValueError("lex-blowup needs a base graph and n >= 1")
-        elif self.kind == "custom":
-            if self.base is None:
-                raise ValueError("custom needs a base graph")
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-    def build(self) -> Graph:
-        if self.kind == "multipartite":
-            return disjoint_union(build_multipartite(self.n, self.p), self.m)
-        if self.kind == "cycle-lex":
-            core = lex_product(build_cycle(self.p), empty_graph(self.n))
-            return disjoint_union(core, self.m)
-        if self.kind == "lex-blowup":
-            return lex_product(self.base, empty_graph(self.n))
-        return self.base

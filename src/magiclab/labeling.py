@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .graphs import Graph
 
 __all__ = [
@@ -151,19 +149,9 @@ def vertex_weight(g: Graph, labeling: Labeling | Sequence[int], u: int) -> int:
 
 
 def all_weights(g: Graph, labeling: Labeling | Sequence[int]) -> tuple[int, ...]:
-    """Open-neighborhood label sums for every vertex, exactly.
-
-    Summed over the CSR arcs in int64 when no partial sum can overflow it
-    (largest |label| times largest degree fits), else in Python integers.
-    """
+    """Open-neighborhood label sums for every vertex, in Python integers."""
     labels = _labels_tuple(g.order, labeling)
-    indptr, indices = g.csr()
-    bound = max(abs(x) for x in labels) * max(1, int(np.diff(indptr).max()))
-    if bound > np.iinfo(np.int64).max:
-        return tuple(sum(labels[v] for v in g.neighbors(u)) for u in range(g.order))
-    w = np.zeros(g.order, dtype=np.int64)
-    np.add.at(w, g.arc_sources(), np.asarray(labels, dtype=np.int64)[indices])
-    return tuple(w.tolist())
+    return tuple(sum(labels[v] for v in g.neighbors(u)) for u in range(g.order))
 
 
 def _report(labels: tuple[int, ...], weights: tuple[int, ...]) -> VerificationReport:

@@ -98,8 +98,8 @@ class RectangleReport:
 
 
 def column_sums(rect: Rectangle) -> list[int]:
-    """Per-column entry sums."""
-    return [int(s) for s in rect.entries.sum(axis=0)]
+    """Per-column entry sums, exact in Python integers."""
+    return [sum(col) for col in rect.entries.T.tolist()]
 
 
 def validate(rect: Rectangle) -> RectangleReport:

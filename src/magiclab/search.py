@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 ENUMERATION_ORDER_CAP = 10
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -147,7 +148,17 @@ def _run_kernel(
     max_out: int,
     rows: tuple[np.ndarray, ...] = (),
 ):
-    """One kernel call; `rows` are the extra inputs from _pruning_rows."""
+    """One kernel call; `rows` are the extra inputs from _pruning_rows.
+
+    The kernel sums in int64.  Every partial row sum it forms is at most the
+    largest label times the row length, and no row is longer than the
+    largest neighborhood, so a label set that could overflow is refused.
+    """
+    if values[-1] * max(1, max(map(g.degree, range(g.order)))) > _INT64_MAX:
+        raise ValueError(
+            "label set too large for the search kernel: largest label times "
+            "largest degree exceeds int64"
+        )
     indptr, nbrs = g.csr()
     labels = np.asarray(values, dtype=np.int64)
     have_c, c0 = (False, 0)

@@ -175,6 +175,29 @@ class TestIndex:
         assert code == 3
         assert json.loads(out)["kind"] == "indeterminate"
 
+    @pytest.fixture
+    def c5_file(self, tmp_path):
+        graph_file = tmp_path / "c5.txt"
+        graph_file.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        return str(graph_file)
+
+    def test_budget_env_exhausted_exits_3(self, capsys, monkeypatch, c5_file):
+        monkeypatch.setenv("MAGICLAB_BUDGET_MS", "0")
+        code, out = run(capsys, "index", "--graph", c5_file)
+        assert code == 3
+        assert json.loads(out)["kind"] == "indeterminate"
+
+    def test_budget_env_not_a_number_exits_2(self, capsys, monkeypatch, c5_file):
+        monkeypatch.setenv("MAGICLAB_BUDGET_MS", "abc")
+        assert main(["index", "--graph", c5_file]) == 2
+        assert "MAGICLAB_BUDGET_MS is not a number" in capsys.readouterr().err
+
+    def test_budget_flag_overrides_env(self, capsys, monkeypatch, c5_file):
+        monkeypatch.setenv("MAGICLAB_BUDGET_MS", "0")
+        code, out = run(capsys, "index", "--graph", c5_file, "--budget-ms", "100000")
+        assert code == 3
+        assert json.loads(out)["kind"] == "unknown-at-cap"
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         graph_file = tmp_path / "bad.txt"
         graph_file.write_text("0 0\n")
@@ -220,6 +243,13 @@ class TestRect:
         code, out = run(capsys, "rect", "--case", "3", "--n", "7", "--m", "1")
         assert code == 0
         assert "# deleted: 14" in out
+
+    def test_split_of_wrapping_sums_exits_2(self, capsys, tmp_path):
+        # column sums 2^64 and 0: in int64 they would both read 0
+        path = tmp_path / "w.csv"
+        path.write_text(f"{2**62},0\n" * 4)
+        assert main(["rect", "--case", "split", "--input", str(path), "--pieces", "2"]) == 2
+        assert "not balanced" in capsys.readouterr().err
 
     def test_missing_args_exit_2(self, capsys):
         code, _ = run(capsys, "rect", "--case", "1")

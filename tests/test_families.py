@@ -43,6 +43,11 @@ def witness_graph(kind, *args):
     return disjoint_union(lex_product(build_cycle(p), empty_graph(n)), m)
 
 
+def cycle_edges(start, length):
+    """Edges of a cycle on start..start+length-1."""
+    return [(start + i, start + (i + 1) % length) for i in range(length)]
+
+
 def check_witness(result, graph):
     """Shared sanity for every constructed witness."""
     assert result.witness is not None
@@ -228,6 +233,16 @@ class TestThetaLexBlowup:
         assert r.theorem == "regular-blowup-tournament"
         assert (r.theta, r.witness) == (0, None)
 
+    @pytest.mark.parametrize("n,constant", [(3, 112), (5, 306)])
+    def test_one_nonsingular_component_is_enough(self, n, constant):
+        # A(C4) is singular, but on the C3 component every fiber sum would
+        # be the half-integer n(12n+1)/2, so theta = 1
+        base = Graph(12, cycle_edges(0, 4) + cycle_edges(4, 3) + cycle_edges(7, 5))
+        r = theta_lex_blowup(base, n)
+        assert (r.theta, r.constant) == (1, constant)
+        assert r.theorem == "regular-blowup-nonsingular"
+        check_witness(r, lex_product(base, empty_graph(n)))
+
     def test_large_union_of_nonsingular_components(self):
         # repeated components are tested once, so 1000*C3 (det 2^1000) is
         # decided from one 3 x 3 elimination
@@ -277,6 +292,25 @@ def det_by_fractions(g):
     return det
 
 
+def components(g):
+    """The connected components of g, each as a graph on local ids."""
+    seen, out = set(), []
+    for root in range(g.order):
+        if root in seen:
+            continue
+        comp, stack = {root}, [root]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        local = {v: i for i, v in enumerate(sorted(comp))}
+        edges = [(local[u], local[v]) for u, v in g.edges() if u in comp]
+        out.append(Graph(len(comp), edges))
+    return out
+
+
 class TestNonsingular:
     @pytest.mark.parametrize(
         "g,want",
@@ -294,14 +328,14 @@ class TestNonsingular:
         ],
     )
     def test_known_graphs(self, g, want):
-        assert families._nonsingular(g) is want
+        assert families._some_component_nonsingular(g) is want
 
     def test_determinant_above_the_prime(self):
         # the test works with residues mod 2^31 - 1; this determinant is
         # about 3.3e12, far above the prime, and its residue is nonzero
         g = build_circulant(43, [1, 3, 4, 9, 13])
         assert abs(det_by_fractions(g)) > 2**31
-        assert families._nonsingular(g) is True
+        assert families._some_component_nonsingular(g) is True
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -310,7 +344,8 @@ class TestNonsingular:
         pairs = list(combinations(range(order), 2))
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         g = Graph(order, edges)
-        assert families._nonsingular(g) == (det_by_fractions(g) != 0)
+        want = any(det_by_fractions(c) != 0 for c in components(g))
+        assert families._some_component_nonsingular(g) == want
 
 
 def labels_of(result):

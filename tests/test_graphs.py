@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from magiclab.graphs import (
     EdgeListParseError,
-    FamilySpec,
     Graph,
     build_circulant,
     build_cycle,
@@ -212,23 +211,3 @@ class TestJson:
         assert graph_from_json(doc) == g
         assert doc["order"] == 7
         assert doc["name"] == g.name
-
-
-class TestFamilySpec:
-    def test_build_multipartite(self):
-        spec = FamilySpec("multipartite", n=3, p=2, m=2)
-        assert spec.build() == disjoint_union(build_multipartite(3, 2), 2)
-
-    def test_build_cycle_lex(self):
-        spec = FamilySpec("cycle-lex", n=2, p=3)
-        assert spec.build() == lex_product(build_cycle(3), empty_graph(2))
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            FamilySpec("multipartite", n=1, p=2)
-        with pytest.raises(ValueError):
-            FamilySpec("cycle-lex", n=2, p=2)
-        with pytest.raises(ValueError):
-            FamilySpec("lex-blowup", n=0, base=build_cycle(3))
-        with pytest.raises(ValueError):
-            FamilySpec("nope")

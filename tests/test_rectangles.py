@@ -330,6 +330,16 @@ class TestValidate:
         assert not report.balanced
 
 
+class TestExactSums:
+    def test_column_sums_do_not_wrap(self):
+        # in int64 the first column's 2^64 wraps around to 0
+        rect = Rectangle(np.array([[2**62, 0]] * 4))
+        assert column_sums(rect) == [2**64, 0]
+        report = validate(rect)
+        assert not report.balanced
+        assert report.column_sums == (2**64, 0)
+
+
 class TestSerialization:
     def test_csv_round_trip(self):
         r = construct_deleted(5, 4)

@@ -99,6 +99,25 @@ class TestEnumerate:
         assert len(set(s.labels for s in sols)) == 5040
 
 
+class TestKernelOverflow:
+    """The kernel sums in int64; a label set that could wrap is refused."""
+
+    def test_labels_past_the_bound_raise(self):
+        values = [2**62 + k for k in (1, 2, 3, 4)]
+        with pytest.raises(ValueError, match="int64"):
+            find_labeling(build_cycle(4), values)
+        with pytest.raises(ValueError, match="int64"):
+            enumerate_labelings(build_cycle(4), values)
+
+    def test_labels_inside_the_bound_are_exact(self):
+        offset = 2**61
+        values = [offset + k for k in (1, 2, 3, 4)]
+        lab = find_labeling(build_cycle(4), values)
+        assert lab.labels == tuple(offset + k for k in (1, 2, 4, 3))
+        assert verify_s_magic(build_cycle(4), lab).is_magic
+        assert len(enumerate_labelings(build_cycle(4), values)) == 8
+
+
 class TestNaiveOracleAgreement:
     CASES = [
         (build_cycle(4), (1, 2, 3, 4)),
