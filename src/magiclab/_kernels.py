@@ -1,13 +1,12 @@
 """Backtracking kernel for exact magic-labeling search.
 
-`backtrack` runs interpreted over numpy arrays; `BACKEND` names it.  The
-search is the only hot loop in the package -- everything else is
+`backtrack` runs interpreted over Python lists of Python ints, so every sum
+it forms is exact, whatever the size of the labels; `BACKEND` names it.
+The search is the only hot loop in the package -- everything else is
 closed-form construction.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 BACKEND = "python"
 
@@ -15,7 +14,10 @@ STATUS_DONE = 0
 STATUS_NODE_LIMIT = 1
 STATUS_OUT_FULL = 2
 
-_EMPTY = np.empty(0, dtype=np.int64)
+
+def _ints(values) -> list[int]:
+    """A list of Python ints from any sequence of integers, numpy arrays included."""
+    return [int(x) for x in values]
 
 
 def backtrack(
@@ -28,10 +30,10 @@ def backtrack(
     node_limit,
     stop_after,
     max_out,
-    dptr=_EMPTY,
-    drow=_EMPTY,
-    dsign=_EMPTY,
-    twin_prev=_EMPTY,
+    dptr=(),
+    drow=(),
+    dsign=(),
+    twin_prev=(),
 ):
     """Depth-first search for magic assignments in lexicographic order.
 
@@ -39,6 +41,8 @@ def backtrack(
     permutation of `labels`.  Vertices are assigned in id order, labels tried
     in ascending order, so accepted assignments appear sorted by the label
     vector.  `labels` must be sorted ascending with len(labels) == order.
+    Every array argument may be a list or a numpy array of integers; each is
+    copied into a list of Python ints on entry.
 
     Neighborhood rows come from the CSR adjacency (indptr, nbrs): the labels
     on N(u) sum to the constant c, which is either supplied (have_c) or fixed
@@ -57,120 +61,126 @@ def backtrack(
     node_limit < 0 means unlimited; a node is one attempted assignment.
     Recording stops after `stop_after` accepted assignments; if an extra one
     is found once `max_out` are recorded, the walk aborts with
-    STATUS_OUT_FULL so the caller can grow the buffer and rerun.
+    STATUS_OUT_FULL.
 
-    Returns (status, nodes, count, out) with accepted label vectors packed
-    row-major into out[:count*n].
+    Returns (status, nodes, count, out) with the accepted label vectors
+    packed row-major into the list out, which holds count*n ints.
     """
-    n = indptr.shape[0] - 1
-    out = np.empty(max_out * n, dtype=np.int64)
-    used = np.zeros(n, dtype=np.bool_)
-    pick = np.full(n, -1, dtype=np.int64)
-    cfix = np.zeros(n, dtype=np.bool_)
-    w = np.zeros(n, dtype=np.int64)
-    rem = np.empty(n, dtype=np.int64)
-    for u in range(n):
-        rem[u] = indptr[u + 1] - indptr[u]
-    rows = prune and drow.shape[0] > 0
-    twins = prune and twin_prev.shape[0] > 0
-    # per extra row: running signed sum, unassigned +1 and -1 entries
-    nrows = drow.max() + 1 if drow.shape[0] > 0 else 0
-    acc = np.zeros(nrows, dtype=np.int64)
-    rpos = np.zeros(nrows, dtype=np.int64)
-    rneg = np.zeros(nrows, dtype=np.int64)
-    for k in range(drow.shape[0]):
-        if dsign[k] > 0:
-            rpos[drow[k]] += 1
-        else:
-            rneg[drow[k]] += 1
-    c = c_init
-    know_c = have_c
-    if prune and not know_c:
-        # isolated vertices pin the constant to 0 from the start
-        for u in range(n):
-            if rem[u] == 0:
-                c = 0
-                know_c = True
-                break
+    indptr = _ints(indptr)
+    nbrs = _ints(nbrs)
+    labels = _ints(labels)
+    n = len(indptr) - 1
+    # the neighbors whose rows vertex v enters, by v
+    adj = [nbrs[indptr[v] : indptr[v + 1]] for v in range(n)]
+    rem = [len(a) for a in adj]
     lmin = labels[0]
     lmax = labels[n - 1]
+    # a neighborhood with r unassigned vertices can still gain between lo[r]
+    # and hi[r]; a complete one (r = 0) must already sum to c
+    lo = [r * lmin for r in range(max(rem, default=0) + 1)]
+    hi = [r * lmax for r in range(len(lo))]
+
+    rows = prune and len(drow) > 0
+    if rows:
+        dptr, drow, dsign = _ints(dptr), _ints(drow), _ints(dsign)
+        # by vertex, the extra rows it enters with sign +1 and with sign -1
+        plus: list[list[int]] = [[] for _ in range(n)]
+        minus: list[list[int]] = [[] for _ in range(n)]
+        # per extra row, the least and the most its signed sum can still
+        # reach with labels in [lmin, lmax]; it stays feasible while
+        # low <= 0 <= high
+        low = [0] * (max(drow) + 1)
+        high = low[:]
+        for v in range(n):
+            for k in range(dptr[v], dptr[v + 1]):
+                r = drow[k]
+                if dsign[k] > 0:
+                    plus[v].append(r)
+                    low[r] += lmin
+                    high[r] += lmax
+                else:
+                    minus[v].append(r)
+                    low[r] -= lmax
+                    high[r] -= lmin
+    twins = prune and len(twin_prev) > 0
+    if twins:
+        twin_prev = _ints(twin_prev)
+
+    c = c_init
+    know_c = have_c
+    if prune and not know_c and 0 in rem:
+        # isolated vertices pin the constant to 0 from the start
+        c = 0
+        know_c = True
+    # the node that overruns the budget; never reached when unlimited
+    overrun = node_limit + 1 if node_limit >= 0 else 0
+    w = [0] * n
+    pick = [-1] * n
+    used = [False] * n
+    cfix = [False] * n
+    out: list[int] = []
     nodes = 0
     count = 0
     depth = 0
     li = 0
     while True:
+        while li < n and used[li]:
+            li += 1
         if li == n:
             # labels exhausted at this depth: undo the level above
             if depth == 0:
                 return STATUS_DONE, nodes, count, out
             depth -= 1
-        elif used[li]:
-            li += 1
-            continue
         else:
             nodes += 1
-            if node_limit >= 0 and nodes > node_limit:
+            if nodes == overrun:
                 return STATUS_NODE_LIMIT, nodes, count, out
             lab = labels[li]
-            ok = True
+            nb = adj[depth]
             fixed_here = False
-            for k in range(indptr[depth], indptr[depth + 1]):
-                u = nbrs[k]
+            for u in nb:
                 w[u] += lab
                 rem[u] -= 1
-            if rows:
-                for k in range(dptr[depth], dptr[depth + 1]):
-                    r = drow[k]
-                    if dsign[k] > 0:
-                        acc[r] += lab
-                        rpos[r] -= 1
-                    else:
-                        acc[r] -= lab
-                        rneg[r] -= 1
             if prune:
-                for k in range(indptr[depth], indptr[depth + 1]):
-                    u = nbrs[k]
-                    if rem[u] == 0:
-                        if know_c:
-                            if w[u] != c:
-                                ok = False
-                                break
-                        else:
-                            c = w[u]
-                            know_c = True
-                            fixed_here = True
-                    elif know_c:
-                        if w[u] + rem[u] * lmin > c or w[u] + rem[u] * lmax < c:
+                ok = True
+                for u in nb:
+                    r = rem[u]
+                    if know_c:
+                        if not lo[r] <= c - w[u] <= hi[r]:
                             ok = False
                             break
-            if rows and ok:
-                for k in range(dptr[depth], dptr[depth + 1]):
-                    r = drow[k]
-                    if (
-                        acc[r] + rpos[r] * lmin - rneg[r] * lmax > 0
-                        or acc[r] + rpos[r] * lmax - rneg[r] * lmin < 0
-                    ):
-                        ok = False
-                        break
-            if not ok:
-                # roll back the failed attempt in place, the cheap common case
-                for k in range(indptr[depth], indptr[depth + 1]):
-                    u = nbrs[k]
-                    w[u] -= lab
-                    rem[u] += 1
-                if rows:
-                    for k in range(dptr[depth], dptr[depth + 1]):
-                        r = drow[k]
-                        if dsign[k] > 0:
-                            acc[r] -= lab
-                            rpos[r] += 1
-                        else:
-                            acc[r] += lab
-                            rneg[r] += 1
-                if fixed_here:
-                    know_c = False
-                li += 1
-                continue
+                    elif r == 0:
+                        # the first completed neighborhood fixes c, and the
+                        # rows after it in N(depth) are checked against it
+                        c = w[u]
+                        know_c = True
+                        fixed_here = True
+                if ok and rows:
+                    for r in plus[depth]:
+                        if low[r] + lab > lmin or high[r] + lab < lmax:
+                            ok = False
+                            break
+                    else:
+                        for r in minus[depth]:
+                            if low[r] + lmax > lab or high[r] + lmin < lab:
+                                ok = False
+                                break
+                if not ok:
+                    # roll back the failed attempt in place
+                    for u in nb:
+                        w[u] -= lab
+                        rem[u] += 1
+                    if fixed_here:
+                        know_c = False
+                    li += 1
+                    continue
+            if rows:
+                for r in plus[depth]:
+                    low[r] += lab - lmin
+                    high[r] += lab - lmax
+                for r in minus[depth]:
+                    low[r] += lmax - lab
+                    high[r] += lmin - lab
             pick[depth] = li
             used[li] = True
             cfix[depth] = fixed_here
@@ -180,35 +190,26 @@ def backtrack(
                 if twins and twin_prev[depth] >= 0:
                     li = pick[twin_prev[depth]] + 1
                 continue
-            good = True
-            for u in range(1, n):
-                if w[u] != w[0]:
-                    good = False
-                    break
-            if good:
+            if w.count(w[0]) == n:
                 if count == max_out:
                     return STATUS_OUT_FULL, nodes, count, out
-                for v in range(n):
-                    out[count * n + v] = labels[pick[v]]
+                out += [labels[i] for i in pick]
                 count += 1
                 if count >= stop_after:
                     return STATUS_DONE, nodes, count, out
         # step back: undo the assignment at `depth`, go on with its next label
         li = pick[depth]
         lab = labels[li]
-        for k in range(indptr[depth], indptr[depth + 1]):
-            u = nbrs[k]
+        for u in adj[depth]:
             w[u] -= lab
             rem[u] += 1
         if rows:
-            for k in range(dptr[depth], dptr[depth + 1]):
-                r = drow[k]
-                if dsign[k] > 0:
-                    acc[r] -= lab
-                    rpos[r] += 1
-                else:
-                    acc[r] += lab
-                    rneg[r] += 1
+            for r in plus[depth]:
+                low[r] -= lab - lmin
+                high[r] -= lab - lmax
+            for r in minus[depth]:
+                low[r] -= lmax - lab
+                high[r] -= lmin - lab
         if cfix[depth]:
             know_c = False
         used[li] = False

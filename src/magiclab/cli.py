@@ -60,7 +60,7 @@ def _load_labeling(path: str) -> Labeling:
         values = [int(tok) for tok in text.split()]
         if not values:
             raise ValueError("no labels found")
-        return Labeling(tuple(values))
+        return Labeling(values)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 

@@ -241,7 +241,7 @@ def _blowup(
             theorem=f"{family}-tournament",
             detail=detail,
         )
-    witness = Labeling(tuple(entries.T.ravel().tolist()))
+    witness = Labeling(entries.T.ravel().tolist())
     report = verify_blowup(base, n, witness)
     if not report.is_magic:
         raise AssertionError(

@@ -89,24 +89,29 @@ class LabelSet:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """Labels listed by vertex id."""
+class Labeling(tuple):
+    """Labels listed by vertex id: a tuple of Python ints, and nothing more.
 
-    labels: tuple[int, ...]
+    It compares and hashes as the plain tuple of its labels.  With no
+    instance dict it costs exactly what that tuple costs, which matters
+    when an enumeration returns thousands of them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+    __slots__ = ()
+
+    def __new__(cls, labels: Iterable[int]):
+        return super().__new__(cls, [int(x) for x in labels])
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def label_set(self) -> LabelSet:
-        return LabelSet.from_values(self.labels)
+        return LabelSet.from_values(self)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, v: int) -> int:
-        return self.labels[v]
+    def __repr__(self) -> str:
+        return f"Labeling(labels={tuple(self)!r})"
 
 
 @dataclass
@@ -129,9 +134,7 @@ class VerificationReport:
 
 def _labels_tuple(order: int, labeling: Labeling | Sequence[int]) -> tuple[int, ...]:
     labels = (
-        labeling.labels
-        if isinstance(labeling, Labeling)
-        else tuple(int(x) for x in labeling)
+        labeling if isinstance(labeling, Labeling) else tuple(int(x) for x in labeling)
     )
     if len(labels) != order:
         raise ValueError(
@@ -316,4 +319,4 @@ def labeling_from_json(doc: dict | str) -> Labeling:
         isinstance(x, int) and not isinstance(x, bool) for x in labels
     ):
         raise ValueError('expected a JSON object with a "labels" list of integers')
-    return Labeling(tuple(labels))
+    return Labeling(labels)

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable
-
-import numpy as np
 
 from . import _kernels
 from .families import IndexResult
@@ -32,7 +30,6 @@ __all__ = [
 ]
 
 ENUMERATION_ORDER_CAP = 10
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -80,23 +77,23 @@ def _as_label_tuple(g: Graph, label_set: LabelSet | Iterable[int]) -> tuple[int,
     return values
 
 
-def _forced_constant(g: Graph, values: tuple[int, ...]) -> tuple[bool, int]:
+def _forced_constant(degree: int | None, values: tuple[int, ...]) -> tuple[bool, int]:
     """(known, value) for the constant forced on a regular graph, if integral.
 
-    For an r-regular graph, summing all weights gives n*c = r*sum(S).  A
+    For an r-regular graph of order n, summing all weights gives
+    n*c = r*sum(S); `degree` is r, or None when the graph is not regular.  A
     fractional result means no magic labeling exists for this label set;
     the caller treats (known=True, value=-1) as an immediate negative.
     """
-    r = regular_degree(g)
-    if r is None:
+    if degree is None:
         return False, 0
-    total = r * sum(values)
-    if total % g.order != 0:
+    total = degree * sum(values)
+    if total % len(values) != 0:
         return True, -1
-    return True, total // g.order
+    return True, total // len(values)
 
 
-def _pruning_rows(g: Graph) -> tuple[np.ndarray, ...]:
+def _pruning_rows(g: Graph) -> tuple[list[int], ...]:
     """Extra kernel inputs (dptr, drow, dsign, twin_prev) for a first hit.
 
     Difference rows: in a magic labeling w(u) = w(v), so the labels on
@@ -125,12 +122,12 @@ def _pruning_rows(g: Graph) -> tuple[np.ndarray, ...]:
                 for x in minus:
                     cols[x].append((nrows, -1))
                 nrows += 1
-    dptr = np.zeros(n + 1, dtype=np.int64)
+    dptr = [0] * (n + 1)
     for v in range(n):
         dptr[v + 1] = dptr[v] + len(cols[v])
-    drow = np.array([r for col in cols for r, _ in col], dtype=np.int64)
-    dsign = np.array([s for col in cols for _, s in col], dtype=np.int64)
-    twin_prev = np.empty(n, dtype=np.int64)
+    drow = [r for col in cols for r, _ in col]
+    dsign = [s for col in cols for _, s in col]
+    twin_prev = [-1] * n
     last: dict[tuple[int, ...], int] = {}
     for v in range(n):
         key = g.neighbors(v)
@@ -139,46 +136,38 @@ def _pruning_rows(g: Graph) -> tuple[np.ndarray, ...]:
     return dptr, drow, dsign, twin_prev
 
 
-def _run_kernel(
-    g: Graph,
-    values: tuple[int, ...],
-    prune: bool,
-    node_limit: int,
-    stop_after: int,
-    max_out: int,
-    rows: tuple[np.ndarray, ...] = (),
-):
-    """One kernel call; `rows` are the extra inputs from _pruning_rows.
+class _Kernel:
+    """Kernel inputs that depend on the graph alone, built once per search.
 
-    The kernel sums in int64.  Every partial row sum it forms is at most the
-    largest label times the row length, and no row is longer than the
-    largest neighborhood, so a label set that could overflow is refused.
+    `rows` asks for the extra inputs from _pruning_rows; they apply only
+    when pruning.  The regular degree is found once here, and each label
+    set's forced constant is derived from it in run().
     """
-    if values[-1] * max(1, max(map(g.degree, range(g.order)))) > _INT64_MAX:
-        raise ValueError(
-            "label set too large for the search kernel: largest label times "
-            "largest degree exceeds int64"
+
+    def __init__(self, g: Graph, prune: bool, rows: bool):
+        # CSR lists built here, so no numpy copy is cached on the graph
+        adj = [g.neighbors(u) for u in range(g.order)]
+        self.csr = (list(accumulate(map(len, adj), initial=0)), [v for a in adj for v in a])
+        self.prune = prune
+        self.degree = regular_degree(g) if prune else None
+        self.rows = _pruning_rows(g) if prune and rows else ()
+
+    def run(self, values: tuple[int, ...], node_limit: int, stop_after: int):
+        """One kernel call over `values`, stopping after `stop_after` hits."""
+        have_c, c = _forced_constant(self.degree, values)
+        if have_c and c < 0:
+            return _kernels.STATUS_DONE, 0, 0, []
+        return _kernels.backtrack(
+            *self.csr,
+            values,
+            have_c,
+            c,
+            self.prune,
+            node_limit,
+            stop_after,
+            stop_after,
+            *self.rows,
         )
-    indptr, nbrs = g.csr()
-    labels = np.asarray(values, dtype=np.int64)
-    have_c, c0 = (False, 0)
-    if prune:
-        known, c = _forced_constant(g, values)
-        if known and c < 0:
-            return _kernels.STATUS_DONE, 0, 0, np.empty(0, dtype=np.int64)
-        have_c, c0 = known, c
-    return _kernels.backtrack(
-        indptr,
-        nbrs,
-        labels,
-        have_c,
-        c0,
-        prune,
-        node_limit,
-        stop_after,
-        max_out,
-        *rows,
-    )
 
 
 def find_labeling(
@@ -195,17 +184,14 @@ def find_labeling(
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
     limit = -1 if cfg.node_limit is None else cfg.node_limit
-    rows = _pruning_rows(g) if cfg.prune else ()
-    status, _, count, out = _run_kernel(
-        g, values, cfg.prune, limit, stop_after=1, max_out=1, rows=rows
-    )
+    status, _, count, out = _Kernel(g, cfg.prune, rows=True).run(values, limit, 1)
     if status == _kernels.STATUS_NODE_LIMIT:
         raise SearchBudgetExceeded(
             f"node budget {cfg.node_limit} exhausted before the search finished"
         )
     if count == 0:
         return None
-    return Labeling(tuple(int(x) for x in out[: g.order]))
+    return Labeling(out)
 
 
 def enumerate_labelings(
@@ -226,23 +212,13 @@ def enumerate_labelings(
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
     limit = -1 if cfg.node_limit is None else cfg.node_limit
-    cap = 1024
-    while True:
-        status, _, count, out = _run_kernel(
-            g, values, cfg.prune, limit, stop_after=2**62, max_out=cap
+    status, _, count, out = _Kernel(g, cfg.prune, rows=False).run(values, limit, 2**62)
+    if status == _kernels.STATUS_NODE_LIMIT:
+        raise SearchBudgetExceeded(
+            f"node budget {cfg.node_limit} exhausted during enumeration"
         )
-        if status == _kernels.STATUS_NODE_LIMIT:
-            raise SearchBudgetExceeded(
-                f"node budget {cfg.node_limit} exhausted during enumeration"
-            )
-        if status == _kernels.STATUS_OUT_FULL:
-            cap *= 4
-            continue
-        n = g.order
-        return [
-            Labeling(tuple(int(x) for x in out[k * n : (k + 1) * n]))
-            for k in range(count)
-        ]
+    n = g.order
+    return [Labeling(out[k * n : (k + 1) * n]) for k in range(count)]
 
 
 def adjacent_twins(g: Graph) -> tuple[int, int] | None:
@@ -292,7 +268,7 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
     if cfg.budget_ms is not None:
         deadline = time.perf_counter() + cfg.budget_ms / 1000.0
     nodes_left = -1 if cfg.node_limit is None else cfg.node_limit
-    rows = _pruning_rows(g) if cfg.prune else ()
+    kernel = _Kernel(g, cfg.prune, rows=True)
     n = g.order
     for d in range(cfg.theta_cap + 1):
         for values in _candidate_sets(n, d):
@@ -304,9 +280,7 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
                     cap=d,
                     detail=f"wall-clock budget {cfg.budget_ms} ms exhausted",
                 )
-            status, nodes, count, out = _run_kernel(
-                g, values, cfg.prune, nodes_left, stop_after=1, max_out=1, rows=rows
-            )
+            status, nodes, count, out = kernel.run(values, nodes_left, 1)
             if status == _kernels.STATUS_NODE_LIMIT:
                 return IndexResult(
                     kind="indeterminate",
@@ -318,7 +292,7 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
             if nodes_left >= 0:
                 nodes_left = max(0, nodes_left - nodes)
             if count > 0:
-                witness = Labeling(tuple(int(x) for x in out[:n]))
+                witness = Labeling(out)
                 report = verify_s_magic(g, witness)
                 assert report.is_magic, "search returned a non-magic labeling"
                 return IndexResult(

@@ -1,6 +1,9 @@
+import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from magiclab.graphs import (
     lex_product,
 )
 from magiclab.labeling import (
+    _labels_tuple,
     Labeling,
     LabelSet,
     NonIntegerConstant,
@@ -315,3 +319,41 @@ class TestJson:
         assert doc["constant"] == 13
         assert doc["label_set"] == [1, 3, 4, 5, 6, 7]
         assert labeling_from_json(doc) == lab
+
+
+class TestLabeling:
+    """A Labeling is a bare tuple of Python ints with two read-only views."""
+
+    def test_numpy_ints_become_ints(self):
+        for lab in (Labeling(np.array([3, 1, 2])), Labeling([np.int64(3), np.int32(1), 2])):
+            assert lab == (3, 1, 2)
+            assert all(type(x) is int for x in lab)
+
+    def test_labels_is_a_plain_tuple(self):
+        lab = Labeling((1, 3, 4, 5, 6, 7))
+        assert type(lab.labels) is tuple
+        assert lab.labels == (1, 3, 4, 5, 6, 7)
+        assert lab.label_set == LabelSet((1, 3, 4, 5, 6, 7))
+        assert repr(lab) == "Labeling(labels=(1, 3, 4, 5, 6, 7))"
+
+    def test_equals_and_hashes_as_its_tuple(self):
+        t = (2, 1, 4, 3)
+        assert Labeling(t) == t and t == Labeling(t)
+        assert hash(Labeling(t)) == hash(t)
+        assert {Labeling(t): 1}[t] == 1
+
+    def test_json_round_trip(self):
+        lab = Labeling((4, 1, 3, 2))
+        doc = labeling_to_json(lab, constant=5)
+        assert doc == {"labels": [4, 1, 3, 2], "label_set": [1, 2, 3, 4], "constant": 5}
+        back = labeling_from_json(json.dumps(doc))
+        assert type(back) is Labeling and back == lab
+
+    def test_costs_what_its_tuple_costs(self):
+        t = tuple(range(1, 13))
+        assert sys.getsizeof(Labeling(t)) == sys.getsizeof(t)
+        assert not hasattr(Labeling(t), "__dict__")
+
+    def test_verifier_takes_it_without_a_copy(self):
+        lab = Labeling((1, 2, 4, 3))
+        assert _labels_tuple(4, lab) is lab

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from magiclab.graphs import (
     disjoint_union,
     empty_graph,
     lex_product,
+    regular_degree,
 )
 from magiclab.labeling import LabelSet, verify_s_magic
 from magiclab.search import (
@@ -92,22 +93,26 @@ class TestEnumerate:
             enumerate_labelings(empty_graph(11), range(1, 12))
 
     def test_buffer_regrowth(self):
-        # the edgeless graph accepts every bijection: 6! = 720 solutions
-        # forces at least one regrow past the initial buffer... use order 7
+        # the edgeless graph accepts every bijection: 7! = 5040 solutions,
+        # all gathered by one kernel call whose output grows as it goes
         sols = enumerate_labelings(empty_graph(7), range(1, 8))
         assert len(sols) == 5040
         assert len(set(s.labels for s in sols)) == 5040
 
 
 class TestKernelOverflow:
-    """The kernel sums in int64; a label set that could wrap is refused."""
+    """The kernel sums in Python ints, so labels of any size never wrap."""
 
-    def test_labels_past_the_bound_raise(self):
-        values = [2**62 + k for k in (1, 2, 3, 4)]
-        with pytest.raises(ValueError, match="int64"):
-            find_labeling(build_cycle(4), values)
-        with pytest.raises(ValueError, match="int64"):
-            enumerate_labelings(build_cycle(4), values)
+    def test_labels_past_int64_are_exact(self):
+        # 2^62 + 4 times degree 2 passes 2^63 - 1, and 2^64 is past int64 itself
+        for offset in (2**62, 2**64):
+            values = [offset + k for k in (1, 2, 3, 4)]
+            lab = find_labeling(build_cycle(4), values)
+            assert lab.labels == tuple(offset + k for k in (1, 2, 4, 3))
+            assert verify_s_magic(build_cycle(4), lab).is_magic
+            sols = enumerate_labelings(build_cycle(4), values)
+            assert len(sols) == 8
+            assert all(verify_s_magic(build_cycle(4), s).is_magic for s in sols)
 
     def test_labels_inside_the_bound_are_exact(self):
         offset = 2**61
@@ -116,6 +121,64 @@ class TestKernelOverflow:
         assert lab.labels == tuple(offset + k for k in (1, 2, 4, 3))
         assert verify_s_magic(build_cycle(4), lab).is_magic
         assert len(enumerate_labelings(build_cycle(4), values)) == 8
+
+
+class TestListKernel:
+    """The kernel takes numpy arrays or lists alike and returns a list."""
+
+    CASES = [
+        (build_cycle(4), (1, 2, 3, 4), False, -1),
+        (PRISM, (1, 2, 3, 4, 5, 6), True, -1),
+        (blowup(PATH3, 2), (1, 2, 3, 4, 5, 6), True, -1),
+        (blowup(build_cycle(6), 2), tuple(range(1, 13)), True, 5_000),
+        (Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)], "mixed"), tuple(range(1, 8)), False, -1),
+    ]
+
+    @pytest.mark.parametrize(
+        "g,values,rows,limit", CASES, ids=["C4", "prism-rows", "P3[K2]-rows", "C6[K2]-rows-budget", "mixed"]
+    )
+    def test_arrays_and_lists_agree(self, g, values, rows, limit):
+        indptr, nbrs = g.csr()
+        extra = search._pruning_rows(g) if rows else ()
+        forced = search._forced_constant(regular_degree(g), values)
+        for (have_c, c), prune in product([(False, 0), forced], (True, False)):
+            as_arrays = _kernels.backtrack(
+                indptr, nbrs, np.asarray(values, dtype=np.int64), have_c, c, prune, limit,
+                2**62, 2**62, *(np.asarray(a, dtype=np.int64) for a in extra),
+            )
+            as_lists = _kernels.backtrack(
+                indptr.tolist(), nbrs.tolist(), list(values), have_c, c, prune, limit,
+                2**62, 2**62, *extra,
+            )
+            assert as_arrays == as_lists
+            assert type(as_lists[3]) is list
+            assert all(type(x) is int for x in as_lists[3])
+
+    def test_enumerate_makes_one_kernel_call(self, monkeypatch):
+        calls = []
+        backtrack = _kernels.backtrack
+
+        def counted(*args):
+            calls.append(args)
+            return backtrack(*args)
+
+        monkeypatch.setattr(_kernels, "backtrack", counted)
+        g = build_multipartite(4, 2)
+        sols = enumerate_labelings(g, range(1, 9))
+        assert len(calls) == 1
+        rows = [s.labels for s in sols]
+        assert len(rows) == 4_608
+        assert rows == sorted(set(rows))
+        assert all(verify_s_magic(g, s).is_magic for s in sols)
+
+    def test_out_full_still_reported(self):
+        # C4 has eight magic labelings of 1..4; room for three stops the walk
+        indptr, nbrs = build_cycle(4).csr()
+        status, _, count, out = _kernels.backtrack(
+            indptr, nbrs, [1, 2, 3, 4], False, 0, True, -1, 2**62, 3
+        )
+        assert (status, count) == (_kernels.STATUS_OUT_FULL, 3)
+        assert out == [1, 2, 4, 3, 1, 3, 4, 2, 2, 1, 3, 4]
 
 
 class TestNaiveOracleAgreement:
@@ -175,7 +238,7 @@ class TestPruningEquivalence:
                 indptr, nbrs, labels, False, 0, True, -1, 2**62, len(slow) + 1,
                 dptr, drow, dsign,
             )
-            rows = [tuple(out[k * n : (k + 1) * n].tolist()) for k in range(count)]
+            rows = [tuple(out[k * n : (k + 1) * n]) for k in range(count)]
             assert rows == [x.labels for x in slow]
 
 
