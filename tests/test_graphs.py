@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magiclab.graphs import (
+    MAX_INPUT_ORDER,
     EdgeListParseError,
     Graph,
     build_circulant,
@@ -202,6 +203,56 @@ class TestEdgeListFormat:
         again = parse_edge_list(emit_edge_list(g))
         assert again == g
         assert emit_edge_list(again) == emit_edge_list(g)
+
+
+LIMIT = MAX_INPUT_ORDER
+
+# (input, one_indexed, line, full message) for every parse error kind; a
+# duplicate found before any later fault is the one reported
+PARSE_ERRORS = [
+    ("0 1\n1 0", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
+    ("0 1\n1 2\n0 1", False, 3, "line 3: duplicate edge (0,1), first seen on line 1"),
+    (
+        "# a comment\n\n0 1\n   \n1 2  # tail\n# more\n\n2 1",
+        False, 8, "line 8: duplicate edge (1,2), first seen on line 5",
+    ),
+    ("n 3\n1 2\n2 3\n2 1", True, 4, "line 4: duplicate edge (1,2), first seen on line 2"),
+    ("1 2\n\n# c\n2 1", True, 4, "line 4: duplicate edge (1,2), first seen on line 1"),
+    ("0 1\n1 0\n0 1 2", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
+    (f"0 1\n1 0\n0 {LIMIT}", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
+    (f"0 1\n0 {LIMIT}", False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}"),
+    (
+        f"0 1\n5 {LIMIT}\n{LIMIT} 3",
+        False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}",
+    ),
+    (f"1 {LIMIT + 1}", True, 1, f"line 1: vertex id {LIMIT + 1} exceeds the limit {LIMIT}"),
+    ("n 3\n0 1\n2 2", False, 3, "line 3: self-loop at vertex 2"),
+    ("n 3\n1 1", True, 2, "line 2: self-loop at vertex 1"),
+    ("n 2\n0 3", False, 2, "line 2: vertex id exceeds declared order 2"),
+    ("n 2\n1 3", True, 2, "line 2: vertex id exceeds declared order 2"),
+    ("0 1\n-1 2", False, 2, "line 2: vertex id below 0 in '-1 2'"),
+    ("1 2\n0 2", True, 2, "line 2: vertex id below 1 in '0 2'"),
+    ("n x", False, 1, "line 1: bad header 'n x'"),
+    ("  n   x  # note", False, 1, "line 1: bad header 'n   x'"),
+    ("n 2 3", False, 1, "line 1: bad header 'n 2 3'"),
+    ("n 0", False, 1, "line 1: order must be >= 1, got 0"),
+    (f"n {LIMIT + 1}", False, 1, f"line 1: order {LIMIT + 1} exceeds the limit {LIMIT}"),
+    ("n 3\nn 3", False, 2, "line 2: repeated header"),
+    ("0 1\nn 3", False, 2, "line 2: header must precede edges"),
+    ("\n 0  1 2 # c", False, 2, "line 2: expected 'u v', got '0  1 2'"),
+    ("0 1\n  a  b  #x", False, 2, "line 2: non-integer ids in 'a  b'"),
+    ("", False, 1, "line 1: empty input (no header, no edges)"),
+    ("# only\n\n", False, 1, "line 1: empty input (no header, no edges)"),
+]
+
+
+class TestEdgeListErrors:
+    @pytest.mark.parametrize("text,one_indexed,line,message", PARSE_ERRORS)
+    def test_message_and_line(self, text, one_indexed, line, message):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(text, one_indexed=one_indexed)
+        assert str(exc.value) == message
+        assert exc.value.line == line
 
 
 class TestJson:
