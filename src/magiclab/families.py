@@ -17,8 +17,7 @@ produce one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterable
 
 from .graphs import Graph, build_cycle, build_multipartite, disjoint_union, regular_degree
 from .labeling import Labeling, verify_blowup, verify_s_magic
@@ -142,7 +141,13 @@ def _distinct_components(g: Graph) -> list[tuple[tuple[int, ...], ...]] | None:
 
 
 def _det_nonzero_mod_prime(nbrs: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the adjacency determinant is nonzero modulo _DET_PRIME."""
+    """Whether the adjacency determinant is nonzero modulo _DET_PRIME.
+
+    numpy is imported here, not at module level: only the tournament branch
+    reaches this test, and no other closed-form answer should pay for it.
+    """
+    import numpy as np
+
     size = len(nbrs)
     a = np.zeros((size, size), dtype=np.int64)
     for u, row in enumerate(nbrs):
@@ -181,6 +186,11 @@ def _some_component_nonsingular(g: Graph) -> bool | None:
 # the blow-up rule
 # ---------------------------------------------------------------------------
 
+def _by_columns(entries: tuple[tuple[int, ...], ...]) -> list[int]:
+    """A rectangle's cells column by column: column b labels fiber b."""
+    return [x for col in zip(*entries) for x in col]
+
+
 def _blowup(
     base: Graph, n: int, r: int, family: str, nonsingular: bool = False
 ) -> IndexResult:
@@ -212,17 +222,17 @@ def _blowup(
     which is exact and never builds the blow-up's edges.
     """
     p = base.order
+    labels: Iterable[int]
     if r == 0:
         # edgeless base: every weight is 0, so column b may hold b*n+1..b*n+n
-        entries = np.arange(1, n * p + 1).reshape(p, n).T
-        theta, branch = 0, "balanced"
+        theta, branch, labels = 0, "balanced", range(1, n * p + 1)
     elif n % 2 == 0 or p % 2 == 1:
         rect = balanced_even(n, p) if n % 2 == 0 else balanced_odd(n, p)
-        theta, branch, entries = 0, "balanced", rect.entries
+        theta, branch, labels = 0, "balanced", _by_columns(rect.entries)
     elif nonsingular or r % 2 == 1 or (r % 4 == 2 and p % 4 == 2):
-        theta, branch, entries = 1, "deleted", construct_deleted(n, p).entries
+        theta, branch, labels = 1, "deleted", _by_columns(construct_deleted(n, p).entries)
     elif (tested := _some_component_nonsingular(base)):
-        theta, branch, entries = 1, "nonsingular", construct_deleted(n, p).entries
+        theta, branch, labels = 1, "nonsingular", _by_columns(construct_deleted(n, p).entries)
     else:
         detail = (
             "distance magic via equalized-tournament constructions from "
@@ -241,7 +251,7 @@ def _blowup(
             theorem=f"{family}-tournament",
             detail=detail,
         )
-    witness = Labeling(entries.T.ravel().tolist())
+    witness = Labeling(labels)
     report = verify_blowup(base, n, witness)
     if not report.is_magic:
         raise AssertionError(

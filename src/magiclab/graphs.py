@@ -7,9 +7,10 @@ be shared freely between verifier calls and parallel test workers.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -77,8 +78,14 @@ class Graph:
         return sum(len(s) for s in self._nbrs) // 2
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form: (indptr, indices), both int64."""
+        """Adjacency in CSR form: (indptr, indices), both int64.
+
+        numpy is imported on the first call, so that building, parsing and
+        verifying graphs never load it.
+        """
         if self._csr is None:
+            import numpy as np
+
             indptr = np.zeros(self.order + 1, dtype=np.int64)
             for u in range(self.order):
                 indptr[u + 1] = indptr[u] + len(self._nbrs[u])
@@ -211,25 +218,56 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
 
     Blank lines and '#' comments are skipped.  Without a header the order is
     max id + 1.  Reports malformed lines, out-of-range ids, self-loops, and
-    duplicate edges with their line numbers.  An order above MAX_INPUT_ORDER
-    is rejected before any vertex is allocated.
+    duplicate edges with their line numbers; when a line has more than one
+    of these faults, or several lines do, the first in the text is reported.
+    An order above MAX_INPUT_ORDER is rejected before any vertex is
+    allocated.
+
+    The scan keeps no record of the edges it has seen: Graph finds a
+    duplicate, and only then is the text read again to name both its lines.
+    """
+    base = 1 if one_indexed else 0
+    lines = text.splitlines()
+    try:
+        order, edges, top_line = _scan_edge_list(lines, base)
+    except EdgeListParseError as exc:
+        _raise_duplicate_edge(lines[: exc.line - 1], base)
+        raise
+    if order > MAX_INPUT_ORDER:
+        # only reachable without a header: the order is the largest id + 1
+        _raise_duplicate_edge(lines, base)
+        raise EdgeListParseError(
+            f"vertex id {order - 1 + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
+            top_line,
+        )
+    try:
+        return Graph(order, edges)
+    except ValueError:
+        # the scan admits only in-range edges without loops, so this is a duplicate
+        _raise_duplicate_edge(lines, base)
+        raise
+
+
+def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, int]], int]:
+    """(order, edges as read, line where the largest id first appears).
+
+    Raises EdgeListParseError on any fault of a single line; duplicates are
+    left to the caller.
     """
     order: int | None = None
     edges: list[tuple[int, int]] = []
-    lines_of_edge: dict[tuple[int, int], int] = {}
-    base = 1 if one_indexed else 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    top, top_line = -1, 0
+    for lineno, raw in enumerate(lines, start=1):
+        tok = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tok:
             continue
-        tok = line.split()
         if tok[0] == "n":
             if order is not None:
                 raise EdgeListParseError("repeated header", lineno)
             if edges:
                 raise EdgeListParseError("header must precede edges", lineno)
             if len(tok) != 2 or not tok[1].lstrip("-").isdigit():
-                raise EdgeListParseError(f"bad header {line!r}", lineno)
+                raise EdgeListParseError(f"bad header {_content(raw)!r}", lineno)
             order = int(tok[1])
             if order < 1:
                 raise EdgeListParseError(f"order must be >= 1, got {order}", lineno)
@@ -239,39 +277,59 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
                 )
             continue
         if len(tok) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {line!r}", lineno)
+            raise EdgeListParseError(f"expected 'u v', got {_content(raw)!r}", lineno)
         try:
             u, v = int(tok[0]) - base, int(tok[1]) - base
         except ValueError:
-            raise EdgeListParseError(f"non-integer ids in {line!r}", lineno) from None
+            raise EdgeListParseError(
+                f"non-integer ids in {_content(raw)!r}", lineno
+            ) from None
         if u < 0 or v < 0:
-            raise EdgeListParseError(f"vertex id below {base} in {line!r}", lineno)
+            raise EdgeListParseError(
+                f"vertex id below {base} in {_content(raw)!r}", lineno
+            )
         if u == v:
             raise EdgeListParseError(f"self-loop at vertex {u + base}", lineno)
-        if order is not None and (u >= order or v >= order):
+        if order is None:
+            if u > top:
+                top, top_line = u, lineno
+            if v > top:
+                top, top_line = v, lineno
+        elif u >= order or v >= order:
             raise EdgeListParseError(
                 f"vertex id exceeds declared order {order}", lineno
             )
-        key = (min(u, v), max(u, v))
-        if key in lines_of_edge:
-            raise EdgeListParseError(
-                f"duplicate edge ({key[0] + base},{key[1] + base}), "
-                f"first seen on line {lines_of_edge[key]}",
-                lineno,
-            )
-        lines_of_edge[key] = lineno
-        edges.append(key)
+        edges.append((u, v))
     if order is None:
         if not edges:
             raise EdgeListParseError("empty input (no header, no edges)", 1)
-        top = max(edges, key=lambda e: e[1])
-        order = top[1] + 1
-        if order > MAX_INPUT_ORDER:
+        order = top + 1
+    return order, edges, top_line
+
+
+def _content(raw: str) -> str:
+    """A line without its comment and surrounding blanks, as error messages quote it."""
+    return raw.split("#", 1)[0].strip()
+
+
+def _raise_duplicate_edge(lines: list[str], base: int) -> None:
+    """Raise the parse error for the first edge repeated within `lines`, if any.
+
+    Called only after parsing failed, with lines that _scan_edge_list
+    accepted, so each is blank, a comment, the header or a valid edge.
+    """
+    first_line: dict[tuple[int, int], int] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        tok = raw.split("#", 1)[0].split()
+        if len(tok) != 2 or tok[0] == "n":
+            continue
+        u, v = sorted((int(tok[0]), int(tok[1])))
+        if (u, v) in first_line:
             raise EdgeListParseError(
-                f"vertex id {top[1] + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
-                lines_of_edge[top],
+                f"duplicate edge ({u},{v}), first seen on line {first_line[u, v]}",
+                lineno,
             )
-    return Graph(order, edges)
+        first_line[u, v] = lineno
 
 
 def emit_edge_list(g: Graph, one_indexed: bool = False) -> str:

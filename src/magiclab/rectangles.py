@@ -9,16 +9,18 @@ every vertex weight becomes a fixed multiple of b.  Two families live here:
 * balanced rectangles: entries are exactly {1..np}, built by balanced_even
   and balanced_odd (the latter via a Kotzig array).
 
-All arithmetic is integral.  The case3 formulas contain half-integer terms
-that cancel; they are evaluated in doubled integers and halved exactly.
+All arithmetic is exact, in Python integers.  The case3 formulas contain
+half-integer terms that cancel; they are evaluated in doubled integers and
+halved exactly.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Iterable, Sequence
 
 __all__ = [
     "Rectangle",
@@ -45,39 +47,50 @@ __all__ = [
 class Rectangle:
     """Integer matrix with optional label-pool metadata.
 
+    entries is a tuple of equal-length row tuples of Python ints.  Any 2-D
+    grid of integers is accepted, numpy arrays and numpy ints included;
+    each cell goes through operator.index, so a float or other non-integer
+    cell raises ValueError instead of being truncated.
+
     When label_ceiling is set, the intended entry pool is {1..label_ceiling}
     minus the labels in `deleted` (an empty tuple means the pool is used in
     full).  Pieces produced by split carry no pool claim (both None).
     """
 
-    entries: np.ndarray
+    entries: tuple[tuple[int, ...], ...]
     label_ceiling: int | None = None
     deleted: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64)
-        if self.entries.ndim != 2:
-            raise ValueError("rectangle entries must be 2-D")
+        try:
+            self.entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
+        except TypeError:
+            raise ValueError("rectangle entries must be a 2-D grid of integers") from None
+        if len({len(row) for row in self.entries}) > 1:
+            raise ValueError("rectangle rows must all have the same length")
         if self.deleted is not None:
             self.deleted = tuple(int(a) for a in self.deleted)
 
     @property
     def rows(self) -> int:
-        return self.entries.shape[0]
+        return len(self.entries)
 
     @property
     def cols(self) -> int:
-        return self.entries.shape[1]
+        return len(self.entries[0]) if self.entries else 0
+
+    def cells(self) -> Iterable[int]:
+        """Every entry, row by row."""
+        return (x for row in self.entries for x in row)
 
     def entry_set(self) -> set[int]:
-        return set(int(x) for x in self.entries.ravel())
+        return set(self.cells())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rectangle):
             return NotImplemented
         return (
-            self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
+            self.entries == other.entries
             and self.label_ceiling == other.label_ceiling
             and self.deleted == other.deleted
         )
@@ -99,19 +112,17 @@ class RectangleReport:
 
 def column_sums(rect: Rectangle) -> list[int]:
     """Per-column entry sums, exact in Python integers."""
-    return [sum(col) for col in rect.entries.T.tolist()]
+    return [sum(col) for col in zip(*rect.entries)]
 
 
 def validate(rect: Rectangle) -> RectangleReport:
     """Check distinctness, pool coverage, and balance; collect all violations."""
     violations: list[str] = []
-    flat = rect.entries.ravel()
-    if np.any(flat <= 0):
+    counts = Counter(rect.cells())
+    if counts and min(counts) <= 0:
         violations.append("non-positive entry")
-    values, counts = np.unique(flat, return_counts=True)
-    for v, c in zip(values, counts):
-        if c > 1:
-            violations.append(f"duplicate entry {int(v)} (x{int(c)})")
+    for v in sorted(v for v, c in counts.items() if c > 1):
+        violations.append(f"duplicate entry {v} (x{counts[v]})")
     if rect.label_ceiling is not None:
         pool = set(range(1, rect.label_ceiling + 1))
         if rect.deleted is not None:
@@ -148,30 +159,28 @@ def case1(m: int) -> Rectangle:
     """3 x 2m rectangle over {1..6m+1} \\ {5m+1}, every column summing to 9m+2."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = np.empty((3, 2 * m), dtype=np.int64)
+    cols = []
     for j in range(1, 2 * m + 1):
         if j % 2 == 1:
-            col = (j, 3 * m - (j - 1) // 2, 6 * m + 1 - (j - 1) // 2)
+            cols.append((j, 3 * m - (j - 1) // 2, 6 * m + 1 - (j - 1) // 2))
         else:
-            col = (j, 4 * m - j // 2 + 1, 5 * m - j // 2 + 1)
-        a[:, j - 1] = col
-    return Rectangle(a, label_ceiling=6 * m + 1, deleted=(5 * m + 1,))
+            cols.append((j, 4 * m - j // 2 + 1, 5 * m - j // 2 + 1))
+    return Rectangle(zip(*cols), label_ceiling=6 * m + 1, deleted=(5 * m + 1,))
 
 
 def case2(m: int) -> Rectangle:
     """5 x 2m rectangle over {1..10m+1} \\ {9m+1}, every column summing to 25m+3."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = np.empty((5, 2 * m), dtype=np.int64)
+    cols = []
     for j in range(1, 2 * m + 1):
         if j % 2 == 1:
             h = (j - 1) // 2
-            col = (j, 3 * m - h, 6 * m - h, 7 * m - h, 9 * m + 2 + h)
+            cols.append((j, 3 * m - h, 6 * m - h, 7 * m - h, 9 * m + 2 + h))
         else:
             h = j // 2
-            col = (j, 4 * m - h + 1, 5 * m - h + 1, 8 * m - h + 1, 8 * m + h)
-        a[:, j - 1] = col
-    return Rectangle(a, label_ceiling=10 * m + 1, deleted=(9 * m + 1,))
+            cols.append((j, 4 * m - h + 1, 5 * m - h + 1, 8 * m - h + 1, 8 * m + h))
+    return Rectangle(zip(*cols), label_ceiling=10 * m + 1, deleted=(9 * m + 1,))
 
 
 def _case3_doubled(i: int, j: int, n: int, m: int, last_row_fix: bool) -> int:
@@ -216,7 +225,7 @@ def case3(n: int, m: int, *, last_row_fix: bool = True) -> Rectangle:
         raise ValueError(f"n must be odd and >= 7, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = np.empty((n, 2 * m), dtype=np.int64)
+    a = [[0] * (2 * m) for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(1, 2 * m + 1):
             d = _case3_doubled(i, j, n, m, last_row_fix)
@@ -224,7 +233,7 @@ def case3(n: int, m: int, *, last_row_fix: bool = True) -> Rectangle:
                 raise AssertionError(
                     f"non-integer entry at (i={i}, j={j}, n={n}, m={m}): {d}/2"
                 )
-            a[i - 1, j - 1] = d // 2
+            a[i - 1][j - 1] = d // 2
     deleted = m * (2 * n - 1) + 1
     rect = Rectangle(a, label_ceiling=2 * m * n + 1, deleted=(deleted,))
     if last_row_fix:
@@ -268,14 +277,14 @@ def complement(rect: Rectangle) -> Rectangle:
     (np+2) - a_deleted, and a balanced rectangle with column sum b maps to
     one with column sum n(np+2) - b.  Involutive.
     """
-    n, p = rect.entries.shape
+    n, p = rect.rows, rect.cols
     ceiling = n * p + 1
     if rect.label_ceiling is not None and rect.label_ceiling != ceiling:
         raise ValueError(
             f"complement needs label ceiling np+1 = {ceiling}, "
             f"got {rect.label_ceiling}"
         )
-    if int(rect.entries.max()) > ceiling or int(rect.entries.min()) < 1:
+    if max(rect.cells()) > ceiling or min(rect.cells()) < 1:
         raise ValueError(f"entries outside 1..{ceiling}")
     if rect.deleted is not None:
         deleted = rect.deleted
@@ -284,7 +293,7 @@ def complement(rect: Rectangle) -> Rectangle:
     if len(deleted) != 1:
         raise ValueError(f"expected exactly one deleted label, got {deleted}")
     return Rectangle(
-        (n * p + 2) - rect.entries,
+        [[n * p + 2 - x for x in row] for row in rect.entries],
         label_ceiling=ceiling,
         deleted=(n * p + 2 - deleted[0],),
     )
@@ -305,7 +314,7 @@ def split(rect: Rectangle, m: int) -> list[Rectangle]:
     sums = column_sums(rect)
     if len(set(sums)) > 1:
         raise ValueError(f"rectangle is not balanced: column sums {sums}")
-    return [Rectangle(rect.entries[:, k::m].copy()) for k in range(m)]
+    return [Rectangle([row[k::m] for row in rect.entries]) for k in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +332,25 @@ def balanced_even(n: int, p: int) -> Rectangle:
         raise ValueError(f"n must be even and >= 2, got {n}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    a = np.empty((n, p), dtype=np.int64)
-    j = np.arange(1, p + 1, dtype=np.int64)
+    a: list[Sequence[int]] = [()] * n
     for k in range(1, n // 2 + 1):
-        a[k - 1] = (k - 1) * p + j
-        a[n - k] = (n - k + 1) * p + 1 - j
+        a[k - 1] = range((k - 1) * p + 1, k * p + 1)
+        a[n - k] = range((n - k + 1) * p, (n - k) * p, -1)
     return Rectangle(a, label_ceiling=n * p, deleted=())
 
 
-def kotzig(p: int) -> np.ndarray:
-    """3 x p array for odd p: each row permutes {0..p-1}, columns sum 3(p-1)/2.
+def kotzig(p: int) -> tuple[tuple[int, ...], ...]:
+    """3 x p array for odd p, as three row tuples: each row permutes {0..p-1},
+    and the columns sum to 3(p-1)/2.
 
     With p = 2k+1 the rows are j, (j+k) mod p, and 3k minus their sum.
     """
     if p % 2 == 0 or p < 1:
         raise ValueError(f"p must be odd and >= 1, got {p}")
     k = (p - 1) // 2
-    j = np.arange(p, dtype=np.int64)
-    r2 = (j + k) % p
-    r3 = 3 * k - j - r2
-    return np.stack([j, r2, r3])
+    r2 = tuple((j + k) % p for j in range(p))
+    r3 = tuple(3 * k - j - r for j, r in enumerate(r2))
+    return tuple(range(p)), r2, r3
 
 
 def balanced_odd(n: int, p: int) -> Rectangle:
@@ -356,15 +364,13 @@ def balanced_odd(n: int, p: int) -> Rectangle:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if p % 2 == 0 or p < 1:
         raise ValueError(f"p must be odd and >= 1, got {p}")
-    a = np.empty((n, p), dtype=np.int64)
-    kap = kotzig(p)
-    for i in range(3):
-        a[i] = i * p + 1 + kap[i]
-    j = np.arange(1, p + 1, dtype=np.int64)
+    a: list[Sequence[int]] = [
+        [i * p + 1 + x for x in row] for i, row in enumerate(kotzig(p))
+    ] + [()] * (n - 3)
     lo, hi = 4, n
     while lo < hi:
-        a[lo - 1] = (lo - 1) * p + j
-        a[hi - 1] = hi * p + 1 - j
+        a[lo - 1] = range((lo - 1) * p + 1, lo * p + 1)
+        a[hi - 1] = range(hi * p, (hi - 1) * p, -1)
         lo += 1
         hi -= 1
     return Rectangle(a, label_ceiling=n * p, deleted=())
@@ -382,7 +388,7 @@ def rectangle_to_csv(rect: Rectangle) -> str:
     if rect.deleted is not None:
         lines.append(f"# deleted: {','.join(str(a) for a in rect.deleted) or '-'}")
     for row in rect.entries:
-        lines.append(",".join(str(int(x)) for x in row))
+        lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -414,18 +420,14 @@ def rectangle_from_csv(text: str) -> Rectangle:
     for idx, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {idx + 1} has {len(row)} cells, expected {width}")
-    try:
-        entries = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("cell outside the int64 range") from None
-    return Rectangle(entries, ceiling, deleted)
+    return Rectangle(rows, ceiling, deleted)
 
 
 def rectangle_to_json(rect: Rectangle) -> dict:
     return {
         "rows": rect.rows,
         "cols": rect.cols,
-        "entries": rect.entries.tolist(),
+        "entries": [list(row) for row in rect.entries],
         "deleted": list(rect.deleted) if rect.deleted is not None else None,
         "label_ceiling": rect.label_ceiling,
     }
@@ -436,7 +438,7 @@ def rectangle_from_json(doc: dict | str) -> Rectangle:
         doc = json.loads(doc)
     deleted = doc.get("deleted")
     return Rectangle(
-        np.array(doc["entries"], dtype=np.int64),
+        doc["entries"],
         doc.get("label_ceiling"),
         tuple(deleted) if deleted is not None else None,
     )

@@ -103,8 +103,8 @@ class TestThetaMHnp:
         assert r.witness.label_set.deleted == (11,)
         check_witness(r, witness_graph("m-hnp", 2, 3, 2))
         # base vertex b of 2*K_2 gets column b of one deleted rectangle
-        cols = construct_deleted(3, 4).entries.T
-        assert r.witness.labels == tuple(cols.ravel().tolist())
+        cols = zip(*construct_deleted(3, 4).entries)
+        assert r.witness.labels == tuple(x for col in cols for x in col)
 
     def test_1_5_6_reduces(self):
         r = theta_m_hnp(1, 5, 6)
@@ -491,7 +491,7 @@ class TestEitSchedule:
         g = build_multipartite(3, 2)
         comp = complement(case1(1))
         lab = Labeling(
-            tuple(int(comp.entries[h, c]) for c in range(2) for h in range(3))
+            tuple(comp.entries[h][c] for c in range(2) for h in range(3))
         )
         sched = eit_schedule(g, lab)
         assert sched["constant"] == 13

@@ -36,7 +36,7 @@ from magiclab.rectangles import balanced_even, balanced_odd, case1, case2, compl
 
 def columns_labeling(rect, n):
     return Labeling(
-        tuple(int(rect.entries[h, g]) for g in range(rect.cols) for h in range(n))
+        tuple(rect.entries[h][g] for g in range(rect.cols) for h in range(n))
     )
 
 

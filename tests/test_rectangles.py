@@ -23,38 +23,42 @@ from magiclab.rectangles import (
 )
 
 # The 5x6 deleted-label rectangle and its reflection, frozen as goldens.
-GOLDEN_A = [
-    [1, 2, 3, 4, 5, 6],
-    [9, 12, 8, 11, 7, 10],
-    [18, 15, 17, 14, 16, 13],
-    [21, 24, 20, 23, 19, 22],
-    [29, 25, 30, 26, 31, 27],
-]
-GOLDEN_A_PRIME = [
-    [31, 30, 29, 28, 27, 26],
-    [23, 20, 24, 21, 25, 22],
-    [14, 17, 15, 18, 16, 19],
-    [11, 8, 12, 9, 13, 10],
-    [3, 7, 2, 6, 1, 5],
-]
+GOLDEN_A = (
+    (1, 2, 3, 4, 5, 6),
+    (9, 12, 8, 11, 7, 10),
+    (18, 15, 17, 14, 16, 13),
+    (21, 24, 20, 23, 19, 22),
+    (29, 25, 30, 26, 31, 27),
+)
+GOLDEN_A_PRIME = (
+    (31, 30, 29, 28, 27, 26),
+    (23, 20, 24, 21, 25, 22),
+    (14, 17, 15, 18, 16, 19),
+    (11, 8, 12, 9, 13, 10),
+    (3, 7, 2, 6, 1, 5),
+)
+
+
+def column(rect: Rectangle, j: int) -> tuple[int, ...]:
+    return tuple(row[j] for row in rect.entries)
 
 
 class TestCase1:
     def test_m1_columns(self):
         r = case1(1)
-        assert r.entries[:, 0].tolist() == [1, 3, 7]
-        assert r.entries[:, 1].tolist() == [2, 4, 5]
+        assert column(r, 0) == (1, 3, 7)
+        assert column(r, 1) == (2, 4, 5)
         assert column_sums(r) == [11, 11]
         assert r.deleted == (6,)
         assert validate(r).ok
 
     def test_m2_rows(self):
         r = case1(2)
-        assert r.entries.tolist() == [
-            [1, 2, 3, 4],
-            [6, 8, 5, 7],
-            [13, 10, 12, 9],
-        ]
+        assert r.entries == (
+            (1, 2, 3, 4),
+            (6, 8, 5, 7),
+            (13, 10, 12, 9),
+        )
         assert column_sums(r) == [20] * 4
         assert r.deleted == (11,)
 
@@ -69,14 +73,14 @@ class TestCase1:
 class TestCase2:
     def test_m3_is_golden(self):
         r = case2(3)
-        assert r.entries.tolist() == GOLDEN_A
+        assert r.entries == GOLDEN_A
         assert column_sums(r) == [78] * 6
         assert r.deleted == (28,)
 
     def test_m1_columns(self):
         r = case2(1)
-        assert r.entries[:, 0].tolist() == [1, 3, 6, 7, 11]
-        assert r.entries[:, 1].tolist() == [2, 4, 5, 8, 9]
+        assert column(r, 0) == (1, 3, 6, 7, 11)
+        assert column(r, 1) == (2, 4, 5, 8, 9)
         assert column_sums(r) == [28, 28]
         assert r.deleted == (10,)
 
@@ -91,15 +95,15 @@ class TestCase2:
 class TestCase3:
     def test_n7_m1(self):
         r = case3(7, 1)
-        assert r.entries[:, 0].tolist() == [1, 3, 6, 7, 9, 12, 15]
-        assert r.entries[:, 1].tolist() == [2, 4, 5, 8, 10, 11, 13]
+        assert column(r, 0) == (1, 3, 6, 7, 9, 12, 15)
+        assert column(r, 1) == (2, 4, 5, 8, 10, 11, 13)
         assert column_sums(r) == [53, 53]
         assert r.deleted == (14,)
 
     def test_n9_m1(self):
         r = case3(9, 1)
-        assert r.entries[:, 0].tolist() == [1, 3, 6, 7, 9, 12, 14, 15, 19]
-        assert r.entries[:, 1].tolist() == [2, 4, 5, 8, 10, 11, 13, 16, 17]
+        assert column(r, 0) == (1, 3, 6, 7, 9, 12, 14, 15, 19)
+        assert column(r, 1) == (2, 4, 5, 8, 10, 11, 13, 16, 17)
         assert column_sums(r) == [86, 86]
         assert r.deleted == (18,)
 
@@ -121,7 +125,7 @@ class TestCase3:
     def test_uncorrected_last_row_regression(self):
         # the off-by-one variant duplicates label 12 and misses the column sum
         bad = case3(7, 1, last_row_fix=False)
-        flat = bad.entries.ravel().tolist()
+        flat = [x for row in bad.entries for x in row]
         assert flat.count(12) == 2
         assert column_sums(bad) == [52, 52]
         assert column_sums(bad) != [53, 53]
@@ -148,7 +152,7 @@ class TestConstructDeleted:
         for n in (3, 5, 7, 11):
             for p in (2, 4, 8, 10):
                 r = construct_deleted(n, p)
-                total = int(r.entries.sum())
+                total = sum(map(sum, r.entries))
                 assert total % p == 0
                 assert total == p * column_sums(r)[0]
 
@@ -164,14 +168,14 @@ class TestConstructDeleted:
 class TestComplement:
     def test_golden(self):
         got = complement(case2(3))
-        assert got.entries.tolist() == GOLDEN_A_PRIME
+        assert got.entries == GOLDEN_A_PRIME
         assert column_sums(got) == [82] * 6
         assert got.deleted == (4,)
 
     def test_figure_label_set(self):
         got = complement(case1(1))
-        assert got.entries[:, 0].tolist() == [7, 5, 1]
-        assert got.entries[:, 1].tolist() == [6, 4, 3]
+        assert column(got, 0) == (7, 5, 1)
+        assert column(got, 1) == (6, 4, 3)
         assert column_sums(got) == [13, 13]
         assert got.deleted == (2,)
         assert got.entry_set() == {1, 3, 4, 5, 6, 7}
@@ -202,7 +206,7 @@ class TestSplit:
         pieces = split(case1(2), 2)
         assert len(pieces) == 2
         for piece in pieces:
-            assert piece.entries.shape == (3, 2)
+            assert (piece.rows, piece.cols) == (3, 2)
             assert set(column_sums(piece)) == {20}
         merged = set()
         for piece in pieces:
@@ -214,13 +218,13 @@ class TestSplit:
     def test_single_piece_identity(self):
         r = case2(2)
         (piece,) = split(r, 1)
-        assert np.array_equal(piece.entries, r.entries)
+        assert piece.entries == r.entries
 
     def test_strided_column_policy(self):
         r = balanced_even(2, 6)
         pieces = split(r, 3)
-        assert np.array_equal(pieces[0].entries, r.entries[:, [0, 3]])
-        assert np.array_equal(pieces[1].entries, r.entries[:, [1, 4]])
+        assert pieces[0].entries == tuple((row[0], row[3]) for row in r.entries)
+        assert pieces[1].entries == tuple((row[1], row[4]) for row in r.entries)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -233,7 +237,7 @@ class TestSplit:
 class TestBalanced:
     def test_even_2x3(self):
         r = balanced_even(2, 3)
-        assert r.entries.tolist() == [[1, 2, 3], [6, 5, 4]]
+        assert r.entries == ((1, 2, 3), (6, 5, 4))
         assert column_sums(r) == [7, 7, 7]
         assert validate(r).ok
 
@@ -244,8 +248,8 @@ class TestBalanced:
         r = balanced_even(6, 5)
         n, p = 6, 5
         for k in range(1, n // 2 + 1):
-            pair = r.entries[k - 1] + r.entries[n - k]
-            assert set(pair.tolist()) == {n * p + 1}
+            pair = [a + b for a, b in zip(r.entries[k - 1], r.entries[n - k])]
+            assert set(pair) == {n * p + 1}
 
     def test_even_rejects_odd(self):
         with pytest.raises(ValueError):
@@ -259,7 +263,7 @@ class TestBalanced:
 
     def test_odd_degenerate_single_column(self):
         r = balanced_odd(3, 1)
-        assert r.entries.ravel().tolist() == [1, 2, 3]
+        assert r.entries == ((1,), (2,), (3,))
         assert column_sums(r) == [6]
 
     def test_odd_rejects_even(self):
@@ -283,15 +287,15 @@ class TestBalanced:
 
 class TestKotzig:
     def test_p3(self):
-        assert kotzig(3).tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        assert kotzig(3) == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
     def test_p5_third_row(self):
-        assert kotzig(5)[2].tolist() == [4, 2, 0, 3, 1]
+        assert kotzig(5)[2] == (4, 2, 0, 3, 1)
 
     def test_p7(self):
         k = kotzig(7)
-        assert k[2].tolist() == [6, 4, 2, 0, 5, 3, 1]
-        assert set(k.sum(axis=0).tolist()) == {9}
+        assert k[2] == (6, 4, 2, 0, 5, 3, 1)
+        assert set(map(sum, zip(*k))) == {9}
 
     def test_exhaustive_odd_p(self):
         # permutation rows and constant column sums for every odd p <= 999
@@ -299,8 +303,8 @@ class TestKotzig:
             k = kotzig(p)
             want = set(range(p))
             for row in k:
-                assert set(row.tolist()) == want
-            assert set(k.sum(axis=0).tolist()) == {3 * (p - 1) // 2}
+                assert set(row) == want
+            assert set(map(sum, zip(*k))) == {3 * (p - 1) // 2}
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
@@ -416,3 +420,38 @@ class TestProperties:
         r = balanced_odd(n, p)
         assert validate(r).ok
         assert set(column_sums(r)) == {n * (n * p + 1) // 2}
+
+
+class TestEntries:
+    def test_numpy_input_becomes_python_ints(self):
+        rect = Rectangle(np.array([[1, 2], [3, 4]], dtype=np.int32))
+        assert rect.entries == ((1, 2), (3, 4))
+        assert all(type(x) is int for row in rect.entries for x in row)
+        assert Rectangle([[np.int64(5), 6]]).entries == ((5, 6),)
+
+    def test_float_cell_is_refused(self):
+        # numpy's int64 cast truncated 1.5 to 1 without a word
+        with pytest.raises(ValueError, match="integers"):
+            Rectangle([[1.5, 2], [3, 4]])
+        with pytest.raises(ValueError, match="integers"):
+            Rectangle(np.array([[1.0, 2.0]]))
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError, match="2-D"):
+            Rectangle([1, 2, 3])
+        with pytest.raises(ValueError, match="2-D"):
+            Rectangle([[[1], [2]]])
+        with pytest.raises(ValueError, match="same length"):
+            Rectangle([[1, 2], [3]])
+
+    def test_json_round_trip(self):
+        rect = case2(3)
+        doc = rectangle_to_json(rect)
+        assert doc["entries"] == [list(row) for row in GOLDEN_A]
+        assert rectangle_from_json(doc) == rect
+
+    def test_csv_cells_past_int64_are_exact(self):
+        rect = rectangle_from_csv(f"{2**70},1\n2,{2**70 + 1}\n")
+        assert rect.entries == ((2**70, 1), (2, 2**70 + 1))
+        assert column_sums(rect) == [2**70 + 2, 2**70 + 2]
+        assert rectangle_to_csv(rect) == f"{2**70},1\n2,{2**70 + 1}\n"
