@@ -223,19 +223,19 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
     An order above MAX_INPUT_ORDER is rejected before any vertex is
     allocated.
 
-    The scan keeps no record of the edges it has seen: Graph finds a
-    duplicate, and only then is the text read again to name both its lines.
+    The scan keeps no record of the edges it has seen, and the split lines
+    are gone before Graph is built: Graph finds a duplicate, and only then
+    is the text split again to name both of its lines.
     """
     base = 1 if one_indexed else 0
-    lines = text.splitlines()
     try:
-        order, edges, top_line = _scan_edge_list(lines, base)
+        order, edges, top_line = _scan_edge_list(text.splitlines(), base)
     except EdgeListParseError as exc:
-        _raise_duplicate_edge(lines[: exc.line - 1], base)
+        _raise_duplicate_edge(text.splitlines()[: exc.line - 1], base)
         raise
     if order > MAX_INPUT_ORDER:
         # only reachable without a header: the order is the largest id + 1
-        _raise_duplicate_edge(lines, base)
+        _raise_duplicate_edge(text.splitlines(), base)
         raise EdgeListParseError(
             f"vertex id {order - 1 + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
             top_line,
@@ -244,7 +244,7 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
         return Graph(order, edges)
     except ValueError:
         # the scan admits only in-range edges without loops, so this is a duplicate
-        _raise_duplicate_edge(lines, base)
+        _raise_duplicate_edge(text.splitlines(), base)
         raise
 
 
