@@ -20,7 +20,7 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Rectangle",
@@ -332,16 +332,15 @@ def balanced_even(n: int, p: int) -> Rectangle:
         raise ValueError(f"n must be even and >= 2, got {n}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    a: list[Sequence[int]] = [()] * n
-    for k in range(1, n // 2 + 1):
-        a[k - 1] = range((k - 1) * p + 1, k * p + 1)
-        a[n - k] = range((n - k + 1) * p, (n - k) * p, -1)
+    a = []
+    for i in range(1, n + 1):
+        block = range((i - 1) * p + 1, i * p + 1)
+        a.append(block if 2 * i <= n else block[::-1])
     return Rectangle(a, label_ceiling=n * p, deleted=())
 
 
 def kotzig(p: int) -> tuple[tuple[int, ...], ...]:
-    """3 x p array for odd p, as three row tuples: each row permutes {0..p-1},
-    and the columns sum to 3(p-1)/2.
+    """3 x p row tuples for odd p: each row permutes {0..p-1}, columns sum 3(p-1)/2.
 
     With p = 2k+1 the rows are j, (j+k) mod p, and 3k minus their sum.
     """
@@ -364,15 +363,13 @@ def balanced_odd(n: int, p: int) -> Rectangle:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if p % 2 == 0 or p < 1:
         raise ValueError(f"p must be odd and >= 1, got {p}")
-    a: list[Sequence[int]] = [
+    a: list[Iterable[int]] = [
         [i * p + 1 + x for x in row] for i, row in enumerate(kotzig(p))
-    ] + [()] * (n - 3)
-    lo, hi = 4, n
-    while lo < hi:
-        a[lo - 1] = range((lo - 1) * p + 1, lo * p + 1)
-        a[hi - 1] = range(hi * p, (hi - 1) * p, -1)
-        lo += 1
-        hi -= 1
+    ]
+    # rows 4..n pair up as (i, n+4-i); the lower row of each pair ascends
+    for i in range(4, n + 1):
+        block = range((i - 1) * p + 1, i * p + 1)
+        a.append(block if 2 * i <= n + 3 else block[::-1])
     return Rectangle(a, label_ceiling=n * p, deleted=())
 
 
