@@ -33,18 +33,32 @@ def test_importing_the_cli_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_csr_and_tournament_branch_import_numpy_on_demand():
-    proc = run_python("""
+ON_DEMAND = {
+    "csr": """
+        indptr, indices = build_cycle(4).csr()
+        assert indptr.tolist() == [0, 2, 4, 6, 8]
+        assert indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
+    """,
+    "tournament": """
+        r = theta_lex_blowup(build_circulant(12, [1, 2]), 41)
+        assert (r.theta, r.theorem) == (0, "regular-blowup-tournament")
+    """,
+}
+
+
+@pytest.mark.parametrize("path", ON_DEMAND)
+def test_numpy_is_imported_on_demand(path):
+    proc = run_python(
+        """
         import sys
         from magiclab import build_circulant, build_cycle, theta_lex_blowup
         assert "numpy" not in sys.modules
-        indptr, indices = build_cycle(4).csr()
+        """
+        + ON_DEMAND[path]
+        + """
         assert "numpy" in sys.modules
-        assert indptr.tolist() == [0, 2, 4, 6, 8]
-        assert indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
-        r = theta_lex_blowup(build_circulant(12, [1, 2]), 41)
-        assert (r.theta, r.theorem) == (0, "regular-blowup-tournament")
-    """)
+        """
+    )
     assert proc.returncode == 0, proc.stderr
 
 
