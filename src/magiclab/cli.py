@@ -327,7 +327,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors, matching our contract
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the final
+        # flush cannot raise again, and exit as for an unreadable input
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

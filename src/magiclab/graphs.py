@@ -7,10 +7,8 @@ be shared freely between verifier calls and parallel test workers.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import accumulate
+from typing import Iterable
 
 __all__ = [
     "Graph",
@@ -41,7 +39,7 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..order-1."""
 
-    __slots__ = ("order", "name", "_nbrs", "_csr")
+    __slots__ = ("order", "name", "_nbrs")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if order < 1:
@@ -61,7 +59,6 @@ class Graph:
         self._nbrs: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in nbrs
         )
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._nbrs[u]
@@ -77,25 +74,10 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(s) for s in self._nbrs) // 2
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form: (indptr, indices), both int64.
-
-        numpy is imported on the first call, so that building, parsing and
-        verifying graphs never load it.
-        """
-        if self._csr is None:
-            import numpy as np
-
-            indptr = np.zeros(self.order + 1, dtype=np.int64)
-            for u in range(self.order):
-                indptr[u + 1] = indptr[u] + len(self._nbrs[u])
-            indices = np.fromiter(
-                (v for u in range(self.order) for v in self._nbrs[u]),
-                dtype=np.int64,
-                count=indptr[-1],
-            )
-            self._csr = (indptr, indices)
-        return self._csr
+    def csr(self) -> tuple[list[int], list[int]]:
+        """Adjacency in CSR form: (indptr, indices), lists of Python ints."""
+        adj = self._nbrs
+        return list(accumulate(map(len, adj), initial=0)), [v for a in adj for v in a]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

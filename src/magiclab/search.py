@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable
 
 from . import _kernels
@@ -145,9 +145,7 @@ class _Kernel:
     """
 
     def __init__(self, g: Graph, prune: bool, rows: bool):
-        # CSR lists built here, so no numpy copy is cached on the graph
-        adj = [g.neighbors(u) for u in range(g.order)]
-        self.csr = (list(accumulate(map(len, adj), initial=0)), [v for a in adj for v in a])
+        self.csr = g.csr()
         self.prune = prune
         self.degree = regular_degree(g) if prune else None
         self.rows = _pruning_rows(g) if prune and rows else ()

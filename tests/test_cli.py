@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +310,36 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["index", "--nope"]) == 2
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early gets exit 2, never a traceback or exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--family", "hnp", "--n", "7", "--p", "8"],
+            ["eit", "--teams", "8", "--rounds", "4", "--format", "table"],
+            ["rect", "--case", "1", "--m", "2"],
+        ],
+        ids=["construct", "eit-table", "rect"],
+    )
+    def test_closed_pipe_exits_2(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes a byte
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "magiclab.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestInputErrors:

@@ -262,6 +262,17 @@ class TestThetaLexBlowup:
         assert r.theorem == "regular-blowup-tournament"
         assert "not tested" in r.detail
 
+    def test_dense_base_at_the_cap_is_decided(self):
+        # the costliest input the determinant test accepts: one dense
+        # component of DET_MAX_ORDER vertices, eliminated in Python ints
+        base = build_circulant(families.DET_MAX_ORDER, range(1, 101))
+        start = time.perf_counter()
+        r = theta_lex_blowup(base, 3)
+        assert time.perf_counter() - start < 10.0
+        assert (r.theta, r.witness) == (0, None)
+        assert r.theorem == "regular-blowup-tournament"
+        assert "not tested" not in r.detail
+
     def test_edgeless_base(self):
         r = theta_lex_blowup(empty_graph(4), 3)
         assert (r.theta, r.constant) == (0, 0)
@@ -331,8 +342,8 @@ class TestNonsingular:
         assert families._some_component_nonsingular(g) is want
 
     def test_determinant_above_the_prime(self):
-        # the test works with residues mod 2^31 - 1; this determinant is
-        # about 3.3e12, far above the prime, and its residue is nonzero
+        # this determinant is about 3.3e12, far above anything int64
+        # residues mod a 31-bit prime could hold; exact elimination finds it
         g = build_circulant(43, [1, 3, 4, 9, 13])
         assert abs(det_by_fractions(g)) > 2**31
         assert families._some_component_nonsingular(g) is True

@@ -136,11 +136,12 @@ class TestListKernel:
         forced = search._forced_constant(regular_degree(g), values)
         for (have_c, c), prune in product([(False, 0), forced], (True, False)):
             as_arrays = _kernels.backtrack(
-                indptr, nbrs, np.asarray(values, dtype=np.int64), have_c, c, prune, limit,
+                *(np.asarray(a, dtype=np.int64) for a in (indptr, nbrs, values)),
+                have_c, c, prune, limit,
                 2**62, 2**62, *(np.asarray(a, dtype=np.int64) for a in extra),
             )
             as_lists = _kernels.backtrack(
-                indptr.tolist(), nbrs.tolist(), list(values), have_c, c, prune, limit,
+                indptr, nbrs, list(values), have_c, c, prune, limit,
                 2**62, 2**62, *extra,
             )
             assert as_arrays == as_lists

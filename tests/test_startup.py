@@ -1,4 +1,4 @@
-"""The CLI starts and runs without numpy; only two paths import it on demand."""
+"""The package starts and runs without numpy: no path imports it."""
 
 import json
 import os
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from magiclab.graphs import build_cycle, build_multipartite, emit_edge_list
+from magiclab.graphs import Graph, build_circulant, build_cycle, build_multipartite, emit_edge_list
 from magiclab.rectangles import case1, rectangle_to_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,32 +33,22 @@ def test_importing_the_cli_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-ON_DEMAND = {
-    "csr": """
-        indptr, indices = build_cycle(4).csr()
-        assert indptr.tolist() == [0, 2, 4, 6, 8]
-        assert indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
-    """,
-    "tournament": """
+# C4 ∪ C3 ∪ C5: A(C4) is singular, A(C3) is not, so the nonsingular branch decides
+C4_C3_C5 = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4),
+            (7, 8), (8, 9), (9, 10), (10, 11), (11, 7)]
+
+
+def test_csr_and_determinant_paths_load_no_numpy():
+    proc = run_python(f"""
+        import sys
+        from magiclab import Graph, build_circulant, build_cycle, theta_lex_blowup
+        assert build_cycle(4).csr() == ([0, 2, 4, 6, 8], [1, 3, 0, 2, 1, 3, 0, 2])
         r = theta_lex_blowup(build_circulant(12, [1, 2]), 41)
         assert (r.theta, r.theorem) == (0, "regular-blowup-tournament")
-    """,
-}
-
-
-@pytest.mark.parametrize("path", ON_DEMAND)
-def test_numpy_is_imported_on_demand(path):
-    proc = run_python(
-        """
-        import sys
-        from magiclab import build_circulant, build_cycle, theta_lex_blowup
+        r = theta_lex_blowup(Graph(12, {C4_C3_C5!r}), 3)
+        assert (r.theta, r.theorem) == (1, "regular-blowup-nonsingular")
         assert "numpy" not in sys.modules
-        """
-        + ON_DEMAND[path]
-        + """
-        assert "numpy" in sys.modules
-        """
-    )
+    """)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -67,6 +57,8 @@ def files(tmp_path):
     paths = {
         "k33": emit_edge_list(build_multipartite(3, 2)),
         "c5": emit_edge_list(build_cycle(5)),
+        "circ12": emit_edge_list(build_circulant(12, [1, 2])),
+        "c4_c3_c5": emit_edge_list(Graph(12, C4_C3_C5)),
         "magic": "1 3 7 2 4 5",
         "not_magic": "1 2 3 4 5 6",
         "case1": rectangle_to_csv(case1(2)),
@@ -83,6 +75,8 @@ COMMANDS = [
     (["construct", "--family", "m-cycle-lex", "--m", "2", "--p", "6", "--n", "3"], 0),
     (["construct", "--family", "m-cycle-lex", "--m", "1", "--p", "8", "--n", "3"], 0),
     (["construct", "--family", "lex", "--n", "3", "--base", "{k33}"], 0),
+    (["construct", "--family", "lex", "--n", "3", "--base", "{circ12}"], 0),
+    (["construct", "--family", "lex", "--n", "3", "--base", "{c4_c3_c5}"], 0),
     (["construct", "--family", "hnp", "--n", "1", "--p", "3"], 2),
     (["verify", "--graph", "{k33}", "--labels", "{magic}"], 0),
     (["verify", "--graph", "{k33}", "--labels", "{not_magic}"], 1),
