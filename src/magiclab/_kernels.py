@@ -30,9 +30,8 @@ def backtrack(
     node_limit,
     stop_after,
     max_out,
-    dptr=(),
-    drow=(),
-    dsign=(),
+    plus=(),
+    minus=(),
     twin_prev=(),
 ):
     """Depth-first search for magic assignments in lexicographic order.
@@ -41,16 +40,19 @@ def backtrack(
     permutation of `labels`.  Vertices are assigned in id order, labels tried
     in ascending order, so accepted assignments appear sorted by the label
     vector.  `labels` must be sorted ascending with len(labels) == order.
-    Every array argument may be a list or a numpy array of integers; each is
-    copied into a list of Python ints on entry.
+    indptr, nbrs, labels and twin_prev may each be a list or a numpy array
+    of integers; each is copied into a list of Python ints on entry.  The
+    nine leading parameters and the returned 4-tuple stay as they are:
+    the warm-up in perfbench/run.py passes those nine by position, and its
+    tracer unpacks the return.
 
     Neighborhood rows come from the CSR adjacency (indptr, nbrs): the labels
     on N(u) sum to the constant c, which is either supplied (have_c) or fixed
     by the first completed neighborhood.  Optional extra rows target 0 and
-    are given by vertex in CSR form: vertex v enters row drow[k] with sign
-    dsign[k] for k in dptr[v]:dptr[v+1].  Optional twin_prev[v] >= 0 names an
-    earlier vertex whose label must be smaller than v's, so the label scan
-    of v starts just after it.
+    are given by vertex: plus[v] and minus[v] are lists of the rows that
+    vertex v enters with sign +1 and with sign -1.  Optional twin_prev[v] >= 0
+    names an earlier vertex whose label must be smaller than v's, so the
+    label scan of v starts just after it.
 
     With prune set, a branch dies as soon as a completed row misses its
     target or a partial row can no longer reach it with labels in
@@ -80,28 +82,21 @@ def backtrack(
     lo = [r * lmin for r in range(max(rem, default=0) + 1)]
     hi = [r * lmax for r in range(len(lo))]
 
-    rows = prune and len(drow) > 0
+    rows = prune and (any(plus) or any(minus))
     if rows:
-        dptr, drow, dsign = _ints(dptr), _ints(drow), _ints(dsign)
-        # by vertex, the extra rows it enters with sign +1 and with sign -1
-        plus: list[list[int]] = [[] for _ in range(n)]
-        minus: list[list[int]] = [[] for _ in range(n)]
         # per extra row, the least and the most its signed sum can still
         # reach with labels in [lmin, lmax]; it stays feasible while
         # low <= 0 <= high
-        low = [0] * (max(drow) + 1)
+        low = [0] * (1 + max(r for vrows in (*plus, *minus) for r in vrows))
         high = low[:]
-        for v in range(n):
-            for k in range(dptr[v], dptr[v + 1]):
-                r = drow[k]
-                if dsign[k] > 0:
-                    plus[v].append(r)
-                    low[r] += lmin
-                    high[r] += lmax
-                else:
-                    minus[v].append(r)
-                    low[r] -= lmax
-                    high[r] -= lmin
+        for vrows in plus:
+            for r in vrows:
+                low[r] += lmin
+                high[r] += lmax
+        for vrows in minus:
+            for r in vrows:
+                low[r] -= lmax
+                high[r] -= lmin
     twins = prune and len(twin_prev) > 0
     if twins:
         twin_prev = _ints(twin_prev)

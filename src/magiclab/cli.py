@@ -27,17 +27,11 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str, one_indexed: bool) -> Graph:
@@ -48,7 +42,7 @@ def _load_graph(path: str, one_indexed: bool) -> Graph:
             return graph_from_json(json.loads(text))
         return parse_edge_list(text, one_indexed=one_indexed)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_labeling(path: str) -> Labeling:
@@ -62,7 +56,7 @@ def _load_labeling(path: str) -> Labeling:
             raise ValueError("no labels found")
         return Labeling(values)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _check_size(vertices: int) -> None:
@@ -72,7 +66,7 @@ def _check_size(vertices: int) -> None:
     --n 7 --p 10**9 would exhaust memory before anything else failed.
     """
     if vertices > MAX_INPUT_ORDER:
-        raise CliError(f"requested {vertices} vertices, above the limit {MAX_INPUT_ORDER}")
+        raise ValueError(f"requested {vertices} vertices, above the limit {MAX_INPUT_ORDER}")
 
 
 def _print_json(doc: dict) -> None:
@@ -91,7 +85,7 @@ def _default_budget_ms() -> float | None:
     try:
         return float(raw)
     except ValueError:
-        raise CliError(f"MAGICLAB_BUDGET_MS is not a number: {raw!r}")
+        raise ValueError(f"MAGICLAB_BUDGET_MS is not a number: {raw!r}")
 
 
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
@@ -108,23 +102,20 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        if args.family != "lex":
-            _check_size(args.n * args.p * (1 if args.family == "hnp" else args.m))
-        if args.family == "hnp":
-            result = families.theta_hnp(args.n, args.p)
-        elif args.family == "m-hnp":
-            result = families.theta_m_hnp(args.m, args.n, args.p)
-        elif args.family == "m-cycle-lex":
-            result = families.theta_m_cycle_lex(args.m, args.p, args.n)
-        else:  # lex
-            if not args.base:
-                raise CliError("--family lex requires --base <edgelist>")
-            base = _load_graph(args.base, args.one_indexed)
-            _check_size(args.n * base.order)
-            result = families.theta_lex_blowup(base, args.n)
-    except (families.HypothesisError, families.NotRegularError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    if args.family != "lex":
+        _check_size(args.n * args.p * (1 if args.family == "hnp" else args.m))
+    if args.family == "hnp":
+        result = families.theta_hnp(args.n, args.p)
+    elif args.family == "m-hnp":
+        result = families.theta_m_hnp(args.m, args.n, args.p)
+    elif args.family == "m-cycle-lex":
+        result = families.theta_m_cycle_lex(args.m, args.p, args.n)
+    else:  # lex
+        if not args.base:
+            raise ValueError("--family lex requires --base <edgelist>")
+        base = _load_graph(args.base, args.one_indexed)
+        _check_size(args.n * base.order)
+        result = families.theta_lex_blowup(base, args.n)
     if args.out == "csv":
         if result.witness is None:
             # a search result is already what `magiclab index` would report
@@ -132,7 +123,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 "no witness labeling constructed for this branch; "
                 "use `magiclab index` on the built graph for a desk-scale search"
             )
-            raise CliError(message, code=EXIT_INDETERMINATE)
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_INDETERMINATE
         print("vertex,label")
         for v, lab in enumerate(result.witness.labels):
             print(f"{v},{lab}")
@@ -144,10 +136,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.one_indexed)
     labeling = _load_labeling(args.labels)
-    try:
-        report = verify_s_magic(graph, labeling)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = verify_s_magic(graph, labeling)
     _print_json(report.to_json_dict())
     return EXIT_OK if report.is_magic else EXIT_NEGATIVE
 
@@ -163,37 +152,34 @@ def _build_rect(args: argparse.Namespace) -> list[rectangles.Rectangle]:
     case = args.case
     if case in ("1", "2"):
         if args.m is None:
-            raise CliError(f"--case {case} requires --m")
+            raise ValueError(f"--case {case} requires --m")
         _check_size((6 if case == "1" else 10) * args.m)
         return [rectangles.case1(args.m) if case == "1" else rectangles.case2(args.m)]
     if case == "3":
         if args.n is None or args.m is None:
-            raise CliError("--case 3 requires --n and --m")
+            raise ValueError("--case 3 requires --n and --m")
         _check_size(2 * args.n * args.m)
         return [rectangles.case3(args.n, args.m)]
     if case in ("even", "odd"):
         if args.n is None or args.p is None:
-            raise CliError(f"--case {case} requires --n and --p")
+            raise ValueError(f"--case {case} requires --n and --p")
         _check_size(args.n * args.p)
         build = rectangles.balanced_even if case == "even" else rectangles.balanced_odd
         return [build(args.n, args.p)]
     if case == "complement":
         if not args.input:
-            raise CliError("--case complement requires --input")
+            raise ValueError("--case complement requires --input")
         rect = rectangles.rectangle_from_csv(_read_text(args.input))
         return [rectangles.complement(rect)]
     # split
     if not args.input or args.pieces is None:
-        raise CliError("--case split requires --input and --pieces")
+        raise ValueError("--case split requires --input and --pieces")
     rect = rectangles.rectangle_from_csv(_read_text(args.input))
     return rectangles.split(rect, args.pieces)
 
 
 def _cmd_rect(args: argparse.Namespace) -> int:
-    try:
-        rects = _build_rect(args)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rects = _build_rect(args)
     if args.out == "json":
         docs = [rectangles.rectangle_to_json(r) for r in rects]
         _print_json(docs[0] if len(docs) == 1 else {"pieces": docs})
@@ -210,12 +196,12 @@ def _cmd_eit(args: argparse.Namespace) -> int:
     if args.graph:
         graph = _load_graph(args.graph, args.one_indexed)
         if graph.order != args.teams:
-            raise CliError(
+            raise ValueError(
                 f"--teams {args.teams} does not match graph order {graph.order}"
             )
         r = regular_degree(graph)
         if r != args.rounds:
-            raise CliError(
+            raise ValueError(
                 f"--rounds {args.rounds} does not match graph degree {r}"
             )
         if args.labels:
@@ -236,10 +222,7 @@ def _cmd_eit(args: argparse.Namespace) -> int:
         else:
             _print_json(schedule)
         return EXIT_OK
-    try:
-        verdict = families.eit_feasible(args.teams, args.rounds)
-    except families.HypothesisError as exc:
-        raise CliError(str(exc)) from exc
+    verdict = families.eit_feasible(args.teams, args.rounds)
     if args.format == "table":
         state = {True: "feasible", False: "infeasible", None: "unknown"}[
             verdict.feasible
@@ -335,10 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         # flush cannot raise again, and exit as for an unreadable input
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
+        # every input fault, the library's own exceptions included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

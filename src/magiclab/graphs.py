@@ -207,38 +207,30 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
 
     The scan keeps no record of the edges it has seen, and the split lines
     are gone before Graph is built: Graph finds a duplicate, and only then
-    is the text split again to name both of its lines.
+    is the text split again to name both of its lines.  A fault on line L
+    likewise rescans the lines before L for an earlier duplicate.
     """
     base = 1 if one_indexed else 0
     try:
-        order, edges, top_line = _scan_edge_list(text.splitlines(), base)
-    except EdgeListParseError as exc:
-        _raise_duplicate_edge(text.splitlines()[: exc.line - 1], base)
-        raise
-    if order > MAX_INPUT_ORDER:
-        # only reachable without a header: the order is the largest id + 1
-        _raise_duplicate_edge(text.splitlines(), base)
-        raise EdgeListParseError(
-            f"vertex id {order - 1 + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
-            top_line,
-        )
-    try:
-        return Graph(order, edges)
-    except ValueError:
-        # the scan admits only in-range edges without loops, so this is a duplicate
-        _raise_duplicate_edge(text.splitlines(), base)
+        return Graph(*_scan_edge_list(text.splitlines(), base))
+    except ValueError as exc:
+        # a duplicate before a faulty line comes first; Graph raises only on
+        # a duplicate, as the scan admits every other edge, so rescan it all
+        stop = exc.line - 1 if isinstance(exc, EdgeListParseError) else None
+        _raise_duplicate_edge(text.splitlines()[:stop], base)
         raise
 
 
-def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, int]], int]:
-    """(order, edges as read, line where the largest id first appears).
+def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, int]]]:
+    """(order, edges as read).
 
     Raises EdgeListParseError on any fault of a single line; duplicates are
-    left to the caller.
+    left to the caller.  Without a header, the first id past
+    MAX_INPUT_ORDER - 1 is such a fault, as the order is the largest id + 1.
     """
     order: int | None = None
     edges: list[tuple[int, int]] = []
-    top, top_line = -1, 0
+    top = -1
     for lineno, raw in enumerate(lines, start=1):
         tok = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tok:
@@ -273,10 +265,13 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
         if u == v:
             raise EdgeListParseError(f"self-loop at vertex {u + base}", lineno)
         if order is None:
-            if u > top:
-                top, top_line = u, lineno
-            if v > top:
-                top, top_line = v, lineno
+            if u > top or v > top:
+                top = max(u, v, top)
+                if top >= MAX_INPUT_ORDER:
+                    raise EdgeListParseError(
+                        f"vertex id {top + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
+                        lineno,
+                    )
         elif u >= order or v >= order:
             raise EdgeListParseError(
                 f"vertex id exceeds declared order {order}", lineno
@@ -286,7 +281,7 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
         if not edges:
             raise EdgeListParseError("empty input (no header, no edges)", 1)
         order = top + 1
-    return order, edges, top_line
+    return order, edges
 
 
 def _content(raw: str) -> str:

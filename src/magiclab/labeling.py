@@ -10,6 +10,7 @@ floating point enters verification.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,18 @@ class NonIntegerConstant(ValueError):
     """The forced magic constant is not an integer; the label set is inadmissible."""
 
 
+def _integers(values: Iterable[int]) -> list[int]:
+    """Python ints from integers of any kind, numpy ints included.
+
+    Each value goes through operator.index, so a float such as 1.9 raises
+    ValueError instead of being truncated to 1.
+    """
+    try:
+        return list(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"labels must be integers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class LabelSet:
     """Strictly increasing positive labels; alpha is the largest one."""
@@ -55,7 +68,7 @@ class LabelSet:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "LabelSet":
-        vals = sorted(int(v) for v in values)
+        vals = sorted(_integers(values))
         if len(set(vals)) != len(vals):
             raise ValueError("labels must be distinct")
         return cls(tuple(vals))
@@ -100,7 +113,7 @@ class Labeling(tuple):
     __slots__ = ()
 
     def __new__(cls, labels: Iterable[int]):
-        return super().__new__(cls, [int(x) for x in labels])
+        return super().__new__(cls, _integers(labels))
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -134,7 +147,7 @@ class VerificationReport:
 
 def _labels_tuple(order: int, labeling: Labeling | Sequence[int]) -> tuple[int, ...]:
     labels = (
-        labeling if isinstance(labeling, Labeling) else tuple(int(x) for x in labeling)
+        labeling if isinstance(labeling, Labeling) else tuple(_integers(labeling))
     )
     if len(labels) != order:
         raise ValueError(

@@ -93,14 +93,15 @@ def _forced_constant(degree: int | None, values: tuple[int, ...]) -> tuple[bool,
     return True, total // len(values)
 
 
-def _pruning_rows(g: Graph) -> tuple[list[int], ...]:
-    """Extra kernel inputs (dptr, drow, dsign, twin_prev) for a first hit.
+def _pruning_rows(g: Graph) -> tuple[list, ...]:
+    """Extra kernel inputs (plus, minus, twin_prev) for a first hit.
 
     Difference rows: in a magic labeling w(u) = w(v), so the labels on
     N(u)-N(v) and on N(v)-N(u) have equal sums.  A pair u < v gets that row
     when the two sets are not both empty and hold fewer vertices together
     than either neighborhood, so the row closes before the neighborhood rows
-    do.  The rows are handed to the kernel by vertex in CSR form.
+    do.  The rows are handed to the kernel by vertex: plus[x] and minus[x]
+    list, in increasing order, the rows that x enters with sign +1 and -1.
 
     False twins (N(u) = N(v)) are interchangeable: sorting the labels inside
     every twin class maps a magic labeling to a magic labeling that is
@@ -110,30 +111,26 @@ def _pruning_rows(g: Graph) -> tuple[list[int], ...]:
     """
     n = g.order
     nbhd = [set(g.neighbors(u)) for u in range(n)]
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    plus: list[list[int]] = [[] for _ in range(n)]
+    minus: list[list[int]] = [[] for _ in range(n)]
     nrows = 0
     for u in range(n):
         for v in range(u + 1, n):
-            plus = nbhd[u] - nbhd[v]
-            minus = nbhd[v] - nbhd[u]
-            if 0 < len(plus) + len(minus) < min(len(nbhd[u]), len(nbhd[v])):
-                for x in plus:
-                    cols[x].append((nrows, 1))
-                for x in minus:
-                    cols[x].append((nrows, -1))
+            pos = nbhd[u] - nbhd[v]
+            neg = nbhd[v] - nbhd[u]
+            if 0 < len(pos) + len(neg) < min(len(nbhd[u]), len(nbhd[v])):
+                for x in pos:
+                    plus[x].append(nrows)
+                for x in neg:
+                    minus[x].append(nrows)
                 nrows += 1
-    dptr = [0] * (n + 1)
-    for v in range(n):
-        dptr[v + 1] = dptr[v] + len(cols[v])
-    drow = [r for col in cols for r, _ in col]
-    dsign = [s for col in cols for _, s in col]
     twin_prev = [-1] * n
     last: dict[tuple[int, ...], int] = {}
     for v in range(n):
         key = g.neighbors(v)
         twin_prev[v] = last.get(key, -1)
         last[key] = v
-    return dptr, drow, dsign, twin_prev
+    return plus, minus, twin_prev
 
 
 class _Kernel:
@@ -292,7 +289,8 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
             if count > 0:
                 witness = Labeling(out)
                 report = verify_s_magic(g, witness)
-                assert report.is_magic, "search returned a non-magic labeling"
+                if not report.is_magic:
+                    raise AssertionError("search returned a non-magic labeling")
                 return IndexResult(
                     kind="finite",
                     theta=d,

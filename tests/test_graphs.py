@@ -221,10 +221,13 @@ PARSE_ERRORS = [
     ("0 1\n1 0\n0 1 2", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
     (f"0 1\n1 0\n0 {LIMIT}", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
     (f"0 1\n0 {LIMIT}", False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}"),
+    (f"0 1\n0 {LIMIT}\n0 1", False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}"),
     (
         f"0 1\n5 {LIMIT}\n{LIMIT} 3",
         False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}",
     ),
+    (f"0 1\n5 {LIMIT}\n{2 * LIMIT} 3", False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}"),
+    (f"0 {LIMIT}\n0 1 2", False, 1, f"line 1: vertex id {LIMIT} exceeds the limit {LIMIT - 1}"),
     (f"1 {LIMIT + 1}", True, 1, f"line 1: vertex id {LIMIT + 1} exceeds the limit {LIMIT}"),
     ("n 3\n0 1\n2 2", False, 3, "line 3: self-loop at vertex 2"),
     ("n 3\n1 1", True, 2, "line 2: self-loop at vertex 1"),

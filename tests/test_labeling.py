@@ -32,6 +32,7 @@ from magiclab.labeling import (
     vertex_weight,
 )
 from magiclab.rectangles import balanced_even, balanced_odd, case1, case2, complement
+from magiclab.search import find_labeling
 
 
 def columns_labeling(rect, n):
@@ -328,6 +329,12 @@ class TestLabeling:
         for lab in (Labeling(np.array([3, 1, 2])), Labeling([np.int64(3), np.int32(1), 2])):
             assert lab == (3, 1, 2)
             assert all(type(x) is int for x in lab)
+        # a float is refused, never truncated
+        for floats in ([1.9, 2, 4, 3], np.array([3.0, 1.0, 2.0])):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                Labeling(floats)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LabelSet.from_values([1.5, 2, 3, 4])
 
     def test_labels_is_a_plain_tuple(self):
         lab = Labeling((1, 3, 4, 5, 6, 7))
@@ -357,3 +364,9 @@ class TestLabeling:
     def test_verifier_takes_it_without_a_copy(self):
         lab = Labeling((1, 2, 4, 3))
         assert _labels_tuple(4, lab) is lab
+        # a plain sequence is copied, and a float in it is refused
+        assert _labels_tuple(4, [np.int64(1), 2, 4, 3]) == lab
+        with pytest.raises(ValueError, match="labels must be integers"):
+            verify_s_magic(build_cycle(4), [1.9, 2, 4, 3])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            find_labeling(build_cycle(4), [1.5, 2, 3, 4])

@@ -142,6 +142,28 @@ class TestConstructDeleted:
         assert construct_deleted(5, 6) == case2(3)
         assert construct_deleted(7, 2) == case3(7, 1)
 
+    @pytest.mark.parametrize(
+        "drifted,message",
+        [
+            ("Rectangle(((1, 2), (3, 4)), 7, (5,))", "deleted label drifted"),
+            ("Rectangle(((1, 2), (3, 4)), 7, (6,))", "column sums drifted"),
+        ],
+        ids=["deleted", "column-sums"],
+    )
+    def test_self_checks_raise_under_optimize(self, drifted, message, run_optimized):
+        # python -O strips assert statements; these self-checks must survive it
+        proc = run_optimized(f"""
+            import sys
+            from magiclab import rectangles
+            from magiclab.rectangles import Rectangle
+            if __debug__:
+                sys.exit("not running under -O")
+            rectangles.case1 = lambda m: {drifted}
+            rectangles.construct_deleted(3, 2)
+        """)
+        assert proc.returncode == 1
+        assert f"AssertionError: {message}" in proc.stderr
+
     def test_deleted_label_unified(self):
         for n in (3, 5, 7, 9):
             for p in (2, 4, 6):

@@ -132,17 +132,17 @@ class TestListKernel:
     )
     def test_arrays_and_lists_agree(self, g, values, rows, limit):
         indptr, nbrs = g.csr()
-        extra = search._pruning_rows(g) if rows else ()
+        plus, minus, twin_prev = search._pruning_rows(g) if rows else ((), (), ())
         forced = search._forced_constant(regular_degree(g), values)
         for (have_c, c), prune in product([(False, 0), forced], (True, False)):
             as_arrays = _kernels.backtrack(
                 *(np.asarray(a, dtype=np.int64) for a in (indptr, nbrs, values)),
                 have_c, c, prune, limit,
-                2**62, 2**62, *(np.asarray(a, dtype=np.int64) for a in extra),
+                2**62, 2**62, plus, minus, np.asarray(twin_prev, dtype=np.int64),
             )
             as_lists = _kernels.backtrack(
                 indptr, nbrs, list(values), have_c, c, prune, limit,
-                2**62, 2**62, *extra,
+                2**62, 2**62, plus, minus, twin_prev,
             )
             assert as_arrays == as_lists
             assert type(as_lists[3]) is list
@@ -220,7 +220,7 @@ class TestPruningEquivalence:
         if n >= 3:
             sets.append(tuple(range(2, n + 2)))
             sets.append(tuple(v for v in range(1, n + 2) if v != n))
-        dptr, drow, dsign, _ = search._pruning_rows(g)
+        plus, minus, _ = search._pruning_rows(g)
         indptr, nbrs = g.csr()
         for values in sets:
             fast = enumerate_labelings(g, values, SearchConfig(prune=True))
@@ -230,7 +230,7 @@ class TestPruningEquivalence:
             labels = np.asarray(values, dtype=np.int64)
             _, _, count, out = _kernels.backtrack(
                 indptr, nbrs, labels, False, 0, True, -1, 2**62, len(slow) + 1,
-                dptr, drow, dsign,
+                plus, minus,
             )
             rows = [tuple(out[k * n : (k + 1) * n]) for k in range(count)]
             assert rows == [x.labels for x in slow]
@@ -345,6 +345,21 @@ class TestComputeIndex:
         # lexicographically smallest label set first: deleting 6 from {1..7}
         res = compute_index(build_multipartite(3, 2))
         assert res.witness.label_set.values == (1, 2, 3, 4, 5, 7)
+
+    def test_non_magic_witness_raises_under_optimize(self, run_optimized):
+        # python -O strips assert statements; this self-check must survive it
+        proc = run_optimized("""
+            import sys
+            from magiclab import _kernels, search
+            from magiclab.graphs import build_cycle
+            if __debug__:
+                sys.exit("not running under -O")
+            # 1, 2, 3, 4 around C4 weighs 6, 4, 6, 4
+            _kernels.backtrack = lambda *args: (_kernels.STATUS_DONE, 1, 1, [1, 2, 3, 4])
+            search.compute_index(build_cycle(4))
+        """)
+        assert proc.returncode == 1
+        assert "AssertionError: search returned a non-magic labeling" in proc.stderr
 
 
 class TestTwins:
