@@ -200,6 +200,10 @@ def _cmd_eit(args: argparse.Namespace) -> int:
                 f"--teams {args.teams} does not match graph order {graph.order}"
             )
         r = regular_degree(graph)
+        if r is None:
+            raise ValueError(
+                f"--rounds {args.rounds} needs a regular graph; this graph is not regular"
+            )
         if r != args.rounds:
             raise ValueError(
                 f"--rounds {args.rounds} does not match graph degree {r}"

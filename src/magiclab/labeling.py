@@ -59,6 +59,7 @@ class LabelSet:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(_integers(self.values)))
         if not self.values:
             raise ValueError("label set must be nonempty")
         if self.values[0] < 1:

@@ -49,8 +49,8 @@ class Rectangle:
 
     entries is a tuple of equal-length row tuples of Python ints.  Any 2-D
     grid of integers is accepted, numpy arrays and numpy ints included;
-    each cell goes through operator.index, so a float or other non-integer
-    cell raises ValueError instead of being truncated.
+    each cell, and each deleted label, goes through operator.index, so a
+    float or other non-integer raises ValueError instead of being truncated.
 
     When label_ceiling is set, the intended entry pool is {1..label_ceiling}
     minus the labels in `deleted` (an empty tuple means the pool is used in
@@ -69,7 +69,10 @@ class Rectangle:
         if len({len(row) for row in self.entries}) > 1:
             raise ValueError("rectangle rows must all have the same length")
         if self.deleted is not None:
-            self.deleted = tuple(int(a) for a in self.deleted)
+            try:
+                self.deleted = tuple(map(operator.index, self.deleted))
+            except TypeError:
+                raise ValueError("deleted labels must be integers") from None
 
     @property
     def rows(self) -> int:

@@ -42,11 +42,11 @@ class SearchConfig:
 
     theta_cap bounds the index explored by compute_index; node_limit is a
     total backtracking-node budget shared across candidate label sets (None
-    = unlimited); budget_ms is a wall-clock budget checked between candidate
-    sets.  prune disables the fail-fast checks when False (used to show
-    pruning never changes outcomes).  The tie policy is fixed: smallest
-    index, then lexicographically smallest label set, then smallest
-    assignment.
+    = unlimited); budget_ms is a wall-clock budget checked before every
+    kernel call of find_labeling, enumerate_labelings and compute_index.
+    prune disables the fail-fast checks when False (used to show pruning
+    never changes outcomes).  The tie policy is fixed: smallest index, then
+    lexicographically smallest label set, then smallest assignment.
     """
 
     theta_cap: int = 1
@@ -134,35 +134,54 @@ def _pruning_rows(g: Graph) -> tuple[list, ...]:
 
 
 class _Kernel:
-    """Kernel inputs that depend on the graph alone, built once per search.
+    """The one caller of the kernel, and the one place budgets are enforced.
 
+    Graph inputs are built once per search, after the deadline is set, so
+    they count against it; the node budget is shared by every run().
     `rows` asks for the extra inputs from _pruning_rows; they apply only
-    when pruning.  The regular degree is found once here, and each label
-    set's forced constant is derived from it in run().
+    when pruning.  Each label set's forced constant comes from the regular
+    degree found here.
     """
 
-    def __init__(self, g: Graph, prune: bool, rows: bool):
+    def __init__(self, g: Graph, cfg: SearchConfig, rows: bool):
+        self.deadline = None
+        if cfg.budget_ms is not None:
+            self.deadline = time.perf_counter() + cfg.budget_ms / 1000.0
+        self.cfg = cfg
+        self.nodes_left = -1 if cfg.node_limit is None else cfg.node_limit
         self.csr = g.csr()
-        self.prune = prune
-        self.degree = regular_degree(g) if prune else None
-        self.rows = _pruning_rows(g) if prune and rows else ()
+        self.degree = regular_degree(g) if cfg.prune else None
+        self.rows = _pruning_rows(g) if cfg.prune and rows else ()
 
-    def run(self, values: tuple[int, ...], node_limit: int, stop_after: int):
-        """One kernel call over `values`, stopping after `stop_after` hits."""
+    def run(self, values: tuple[int, ...], stop_after: int) -> list[Labeling]:
+        """The first `stop_after` magic assignments of `values`, in order.
+
+        Raises SearchBudgetExceeded when either budget runs out first.
+        """
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise SearchBudgetExceeded(
+                f"wall-clock budget {self.cfg.budget_ms} ms exhausted"
+            )
         have_c, c = _forced_constant(self.degree, values)
         if have_c and c < 0:
-            return _kernels.STATUS_DONE, 0, 0, []
-        return _kernels.backtrack(
+            return []
+        status, nodes, count, out = _kernels.backtrack(
             *self.csr,
             values,
             have_c,
             c,
-            self.prune,
-            node_limit,
+            self.cfg.prune,
+            self.nodes_left,
             stop_after,
             stop_after,
             *self.rows,
         )
+        if status == _kernels.STATUS_NODE_LIMIT:
+            raise SearchBudgetExceeded(f"node budget {self.cfg.node_limit} exhausted")
+        if self.nodes_left >= 0:
+            self.nodes_left = max(0, self.nodes_left - nodes)
+        n = len(values)
+        return [Labeling(out[k * n : (k + 1) * n]) for k in range(count)]
 
 
 def find_labeling(
@@ -174,19 +193,13 @@ def find_labeling(
 
     Deterministic: the returned labeling is the lexicographically smallest
     magic assignment by vertex id.  Raises SearchBudgetExceeded when the
-    node budget runs out -- an exhausted budget is never reported as absence.
+    node or wall-clock budget runs out -- an exhausted budget is never
+    reported as absence.
     """
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
-    limit = -1 if cfg.node_limit is None else cfg.node_limit
-    status, _, count, out = _Kernel(g, cfg.prune, rows=True).run(values, limit, 1)
-    if status == _kernels.STATUS_NODE_LIMIT:
-        raise SearchBudgetExceeded(
-            f"node budget {cfg.node_limit} exhausted before the search finished"
-        )
-    if count == 0:
-        return None
-    return Labeling(out)
+    hits = _Kernel(g, cfg, rows=True).run(values, 1)
+    return hits[0] if hits else None
 
 
 def enumerate_labelings(
@@ -197,7 +210,8 @@ def enumerate_labelings(
     """Every magic assignment of the label set, in lexicographic order.
 
     Complete and duplicate-free; guarded to graphs of order <= 10 because
-    the answer can grow factorially.
+    the answer can grow factorially.  Raises SearchBudgetExceeded when the
+    node or wall-clock budget runs out.
     """
     if g.order > ENUMERATION_ORDER_CAP:
         raise ValueError(
@@ -206,14 +220,7 @@ def enumerate_labelings(
         )
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
-    limit = -1 if cfg.node_limit is None else cfg.node_limit
-    status, _, count, out = _Kernel(g, cfg.prune, rows=False).run(values, limit, 2**62)
-    if status == _kernels.STATUS_NODE_LIMIT:
-        raise SearchBudgetExceeded(
-            f"node budget {cfg.node_limit} exhausted during enumeration"
-        )
-    n = g.order
-    return [Labeling(out[k * n : (k + 1) * n]) for k in range(count)]
+    return _Kernel(g, cfg, rows=False).run(values, 2**62)
 
 
 def adjacent_twins(g: Graph) -> tuple[int, int] | None:
@@ -259,45 +266,26 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
             method="search",
             detail=f"adjacent twins {twins[0]} and {twins[1]} force unequal weights",
         )
-    deadline = None
-    if cfg.budget_ms is not None:
-        deadline = time.perf_counter() + cfg.budget_ms / 1000.0
-    nodes_left = -1 if cfg.node_limit is None else cfg.node_limit
-    kernel = _Kernel(g, cfg.prune, rows=True)
-    n = g.order
-    for d in range(cfg.theta_cap + 1):
-        for values in _candidate_sets(n, d):
-            if deadline is not None and time.perf_counter() > deadline:
-                return IndexResult(
-                    kind="indeterminate",
-                    theta=None,
-                    method="search",
-                    cap=d,
-                    detail=f"wall-clock budget {cfg.budget_ms} ms exhausted",
-                )
-            status, nodes, count, out = kernel.run(values, nodes_left, 1)
-            if status == _kernels.STATUS_NODE_LIMIT:
-                return IndexResult(
-                    kind="indeterminate",
-                    theta=None,
-                    method="search",
-                    cap=d,
-                    detail=f"node budget {cfg.node_limit} exhausted",
-                )
-            if nodes_left >= 0:
-                nodes_left = max(0, nodes_left - nodes)
-            if count > 0:
-                witness = Labeling(out)
-                report = verify_s_magic(g, witness)
-                if not report.is_magic:
-                    raise AssertionError("search returned a non-magic labeling")
-                return IndexResult(
-                    kind="finite",
-                    theta=d,
-                    method="search",
-                    constant=report.constant,
-                    witness=witness,
-                )
+    kernel = _Kernel(g, cfg, rows=True)
+    try:
+        for d in range(cfg.theta_cap + 1):
+            for values in _candidate_sets(g.order, d):
+                hits = kernel.run(values, 1)
+                if hits:
+                    report = verify_s_magic(g, hits[0])
+                    if not report.is_magic:
+                        raise AssertionError("search returned a non-magic labeling")
+                    return IndexResult(
+                        kind="finite",
+                        theta=d,
+                        method="search",
+                        constant=report.constant,
+                        witness=hits[0],
+                    )
+    except SearchBudgetExceeded as exc:
+        return IndexResult(
+            kind="indeterminate", theta=None, method="search", cap=d, detail=str(exc)
+        )
     return IndexResult(
         kind="unknown-at-cap",
         theta=None,

@@ -303,6 +303,13 @@ class TestEit:
         code, _ = run(capsys, "eit", "--teams", "7", "--rounds", "3", "--graph", k33_file)
         assert code == 2
 
+    def test_irregular_graph_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "p3.txt"
+        path.write_text("0 1\n1 2\n")
+        assert main(["eit", "--teams", "3", "--rounds", "1", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not regular" in err and "None" not in err
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -60,6 +60,10 @@ class TestLabelSet:
             LabelSet((2, 2))
         with pytest.raises(ValueError):
             LabelSet.from_values([3, 3])
+        with pytest.raises(ValueError, match="integers"):
+            LabelSet((1.5, 2))
+        assert LabelSet((np.int64(1), 2)).values == (1, 2)
+        assert type(LabelSet((np.int64(1), 2)).values[0]) is int
 
 
 class TestVertexWeight:

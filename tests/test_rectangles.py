@@ -459,6 +459,14 @@ class TestEntries:
         with pytest.raises(ValueError, match="integers"):
             Rectangle(np.array([[1.0, 2.0]]))
 
+    def test_float_deleted_is_refused(self):
+        # int() truncated a deleted label of 2.9 to 2 without a word
+        with pytest.raises(ValueError, match="integers"):
+            Rectangle(((1, 2),), 3, (2.9,))
+        with pytest.raises(ValueError, match="integers"):
+            rectangle_from_json({"entries": [[1, 2]], "label_ceiling": 3, "deleted": [2.9]})
+        assert Rectangle(((1, 2),), 3, (np.int64(3),)).deleted == (3,)
+
     def test_shape_is_checked(self):
         with pytest.raises(ValueError, match="2-D"):
             Rectangle([1, 2, 3])

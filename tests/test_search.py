@@ -75,6 +75,11 @@ class TestFindLabeling:
         with pytest.raises(SearchBudgetExceeded):
             find_labeling(build_multipartite(3, 2), [1, 3, 4, 5, 6, 7], cfg)
 
+    def test_wall_clock_budget_raises(self):
+        cfg = SearchConfig(budget_ms=0)
+        with pytest.raises(SearchBudgetExceeded, match="wall-clock budget 0 ms exhausted"):
+            find_labeling(build_cycle(4), [1, 2, 3, 4], cfg)
+
 
 class TestEnumerate:
     def test_k2_empty(self):
@@ -91,6 +96,11 @@ class TestEnumerate:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             enumerate_labelings(empty_graph(11), range(1, 12))
+
+    def test_wall_clock_budget_raises(self):
+        cfg = SearchConfig(budget_ms=0)
+        with pytest.raises(SearchBudgetExceeded, match="wall-clock budget 0 ms exhausted"):
+            enumerate_labelings(build_cycle(4), [1, 2, 3, 4], cfg)
 
     def test_buffer_regrowth(self):
         # the edgeless graph accepts every bijection: 7! = 5040 solutions,
@@ -334,12 +344,14 @@ class TestComputeIndex:
     def test_node_budget_indeterminate(self):
         res = compute_index(build_multipartite(3, 2), SearchConfig(node_limit=5))
         assert res.kind == "indeterminate"
+        assert res.detail == "node budget 5 exhausted"
 
     def test_wall_clock_budget(self):
         res = compute_index(
             build_multipartite(3, 4), SearchConfig(theta_cap=2, budget_ms=0.0)
         )
         assert res.kind == "indeterminate"
+        assert res.detail == "wall-clock budget 0.0 ms exhausted"
 
     def test_witness_is_policy_minimal(self):
         # lexicographically smallest label set first: deleting 6 from {1..7}
