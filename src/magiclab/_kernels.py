@@ -8,16 +8,13 @@ closed-form construction.
 
 from __future__ import annotations
 
+from .labeling import _integers
+
 BACKEND = "python"
 
 STATUS_DONE = 0
 STATUS_NODE_LIMIT = 1
 STATUS_OUT_FULL = 2
-
-
-def _ints(values) -> list[int]:
-    """A list of Python ints from any sequence of integers, numpy arrays included."""
-    return [int(x) for x in values]
 
 
 def backtrack(
@@ -41,18 +38,21 @@ def backtrack(
     in ascending order, so accepted assignments appear sorted by the label
     vector.  `labels` must be sorted ascending with len(labels) == order.
     indptr, nbrs, labels and twin_prev may each be a list or a numpy array
-    of integers; each is copied into a list of Python ints on entry.  The
-    nine leading parameters and the returned 4-tuple stay as they are:
-    the warm-up in perfbench/run.py passes those nine by position, and its
-    tracer unpacks the return.
+    of integers; each is copied into a list of Python ints on entry, and a
+    float raises ValueError instead of being truncated.  The nine leading
+    parameters and the returned 4-tuple stay as they are: the warm-up in
+    perfbench/run.py passes those nine by position, and its tracer unpacks
+    the return.
 
-    Neighborhood rows come from the CSR adjacency (indptr, nbrs): the labels
-    on N(u) sum to the constant c, which is either supplied (have_c) or fixed
-    by the first completed neighborhood.  Optional extra rows target 0 and
-    are given by vertex: plus[v] and minus[v] are lists of the rows that
-    vertex v enters with sign +1 and with sign -1.  Optional twin_prev[v] >= 0
-    names an earlier vertex whose label must be smaller than v's, so the
-    label scan of v starts just after it.
+    Extra rows target 0 and are given by vertex: plus[v] and minus[v] list
+    the rows that vertex v enters with sign +1 and with sign -1.  With
+    have_c, each neighborhood N(u) of the CSR adjacency (indptr, nbrs) is a
+    row whose labels sum to c_init.  Without it, pruning adds a reference
+    row per vertex u: with ref the vertex whose neighborhood is labeled
+    first (the smallest largest neighbor), N(u)-N(ref) and N(ref)-N(u) have
+    equal label sums.  These rows all hold exactly when every weight is
+    equal.  Optional twin_prev[v] >= 0 names an earlier vertex whose label
+    must be smaller than v's, so the label scan of v starts just after it.
 
     With prune set, a branch dies as soon as a completed row misses its
     target or a partial row can no longer reach it with labels in
@@ -68,9 +68,9 @@ def backtrack(
     Returns (status, nodes, count, out) with the accepted label vectors
     packed row-major into the list out, which holds count*n ints.
     """
-    indptr = _ints(indptr)
-    nbrs = _ints(nbrs)
-    labels = _ints(labels)
+    indptr = _integers(indptr)
+    nbrs = _integers(nbrs)
+    labels = _integers(labels)
     n = len(indptr) - 1
     # the neighbors whose rows vertex v enters, by v
     adj = [nbrs[indptr[v] : indptr[v + 1]] for v in range(n)]
@@ -78,16 +78,32 @@ def backtrack(
     lmin = labels[0]
     lmax = labels[n - 1]
     # a neighborhood with r unassigned vertices can still gain between lo[r]
-    # and hi[r]; a complete one (r = 0) must already sum to c
+    # and hi[r]; a complete one (r = 0) must already sum to c_init
     lo = [r * lmin for r in range(max(rem, default=0) + 1)]
     hi = [r * lmax for r in range(len(lo))]
 
-    rows = prune and (any(plus) or any(minus))
+    # extra rows are numbered 0 .. nrows-1
+    nrows = 1 + max((r for vrows in (*plus, *minus) for r in vrows), default=-1)
+    if prune and not have_c:
+        # reference rows, after the given ones, in copies of the caller's lists
+        ref = min(range(n), key=lambda v: max(adj[v], default=-1))
+        nref = set(adj[ref])
+        plus = [list(vrows) for vrows in plus] or [[] for _ in range(n)]
+        minus = [list(vrows) for vrows in minus] or [[] for _ in range(n)]
+        for u in range(n):
+            nu = set(adj[u])
+            if nu != nref:
+                for x in nu - nref:
+                    plus[x].append(nrows)
+                for x in nref - nu:
+                    minus[x].append(nrows)
+                nrows += 1
+    rows = prune and nrows > 0
     if rows:
         # per extra row, the least and the most its signed sum can still
         # reach with labels in [lmin, lmax]; it stays feasible while
         # low <= 0 <= high
-        low = [0] * (1 + max(r for vrows in (*plus, *minus) for r in vrows))
+        low = [0] * nrows
         high = low[:]
         for vrows in plus:
             for r in vrows:
@@ -99,20 +115,13 @@ def backtrack(
                 high[r] -= lmin
     twins = prune and len(twin_prev) > 0
     if twins:
-        twin_prev = _ints(twin_prev)
+        twin_prev = _integers(twin_prev)
 
-    c = c_init
-    know_c = have_c
-    if prune and not know_c and 0 in rem:
-        # isolated vertices pin the constant to 0 from the start
-        c = 0
-        know_c = True
     # the node that overruns the budget; never reached when unlimited
     overrun = node_limit + 1 if node_limit >= 0 else 0
     w = [0] * n
     pick = [-1] * n
     used = [False] * n
-    cfix = [False] * n
     out: list[int] = []
     nodes = 0
     count = 0
@@ -132,24 +141,17 @@ def backtrack(
                 return STATUS_NODE_LIMIT, nodes, count, out
             lab = labels[li]
             nb = adj[depth]
-            fixed_here = False
             for u in nb:
                 w[u] += lab
                 rem[u] -= 1
             if prune:
                 ok = True
-                for u in nb:
-                    r = rem[u]
-                    if know_c:
-                        if not lo[r] <= c - w[u] <= hi[r]:
+                if have_c:
+                    for u in nb:
+                        r = rem[u]
+                        if not lo[r] <= c_init - w[u] <= hi[r]:
                             ok = False
                             break
-                    elif r == 0:
-                        # the first completed neighborhood fixes c, and the
-                        # rows after it in N(depth) are checked against it
-                        c = w[u]
-                        know_c = True
-                        fixed_here = True
                 if ok and rows:
                     for r in plus[depth]:
                         if low[r] + lab > lmin or high[r] + lab < lmax:
@@ -165,8 +167,6 @@ def backtrack(
                     for u in nb:
                         w[u] -= lab
                         rem[u] += 1
-                    if fixed_here:
-                        know_c = False
                     li += 1
                     continue
             if rows:
@@ -178,7 +178,6 @@ def backtrack(
                     high[r] += lmin - lab
             pick[depth] = li
             used[li] = True
-            cfix[depth] = fixed_here
             if depth + 1 < n:
                 depth += 1
                 li = 0
@@ -205,8 +204,6 @@ def backtrack(
             for r in minus[depth]:
                 low[r] -= lmax - lab
                 high[r] -= lmin - lab
-        if cfix[depth]:
-            know_c = False
         used[li] = False
         pick[depth] = -1
         li += 1

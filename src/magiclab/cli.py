@@ -111,6 +111,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.family == "m-cycle-lex":
         result = families.theta_m_cycle_lex(args.m, args.p, args.n)
     else:  # lex
+        if args.n < 2:
+            # a blow-up by 1 is its base, and its search belongs to `index`,
+            # which takes the budgets and the cap
+            raise ValueError(
+                f"--family lex needs --n >= 2, got {args.n}; "
+                "for the base graph itself run `magiclab index --graph <base>`"
+            )
         if not args.base:
             raise ValueError("--family lex requires --base <edgelist>")
         base = _load_graph(args.base, args.one_indexed)
@@ -118,12 +125,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         result = families.theta_lex_blowup(base, args.n)
     if args.out == "csv":
         if result.witness is None:
-            # a search result is already what `magiclab index` would report
-            message = result.detail if result.method == "search" else (
-                "no witness labeling constructed for this branch; "
-                "use `magiclab index` on the built graph for a desk-scale search"
+            print(
+                "error: no witness labeling constructed for this branch; "
+                "use `magiclab index` on the built graph for a desk-scale search",
+                file=sys.stderr,
             )
-            print(f"error: {message}", file=sys.stderr)
             return EXIT_INDETERMINATE
         print("vertex,label")
         for v, lab in enumerate(result.witness.labels):

@@ -10,6 +10,7 @@ reported index is minimal by construction.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -42,10 +43,11 @@ class SearchConfig:
 
     theta_cap bounds the index explored by compute_index; node_limit is a
     total backtracking-node budget shared across candidate label sets (None
-    = unlimited); budget_ms is a wall-clock budget checked before every
-    kernel call of find_labeling, enumerate_labelings and compute_index.
-    prune disables the fail-fast checks when False (used to show pruning
-    never changes outcomes).  The tie policy is fixed: smallest index, then
+    = unlimited); both are integers, and a float raises ValueError.
+    budget_ms is a wall-clock budget checked before every kernel call of
+    find_labeling, enumerate_labelings and compute_index.  prune disables
+    the fail-fast checks when False (used to show pruning never changes
+    outcomes).  The tie policy is fixed: smallest index, then
     lexicographically smallest label set, then smallest assignment.
     """
 
@@ -55,6 +57,12 @@ class SearchConfig:
     prune: bool = True
 
     def __post_init__(self):
+        try:
+            self.theta_cap = operator.index(self.theta_cap)
+            if self.node_limit is not None:
+                self.node_limit = operator.index(self.node_limit)
+        except TypeError as exc:
+            raise ValueError(f"theta_cap and node_limit must be integers: {exc}") from None
         if self.theta_cap < 0:
             raise ValueError(f"theta_cap must be >= 0, got {self.theta_cap}")
         if self.node_limit is not None and self.node_limit < 0:

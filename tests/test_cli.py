@@ -70,28 +70,20 @@ class TestConstruct:
         doc = json.loads(out)
         assert doc["theta"] == 1  # r = 3 odd, n = 3 odd
 
-    def test_lex_by_one_left_undecided_exits_3(self, capsys, tmp_path):
-        # C5[K̄1] is C5: the search gives up at the cap, as `index` does
+    def test_lex_by_one_refused_names_index(self, capsys, tmp_path):
+        # C5[K̄1] is C5: its search belongs to `index`, which takes a budget
         graph_file = tmp_path / "c5.txt"
         graph_file.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
-        code, out = run(
-            capsys, "construct", "--family", "lex", "--n", "1", "--base", str(graph_file),
-        )
-        assert code == 3
-        assert json.loads(out)["kind"] == "unknown-at-cap"
+        for out in ("json", "csv"):
+            code = main([
+                "construct", "--family", "lex", "--n", "1", "--base", str(graph_file),
+                "--out", out,
+            ])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "--n >= 2" in captured.err and "magiclab index" in captured.err
         assert run(capsys, "index", "--graph", str(graph_file))[0] == 3
-
-    def test_lex_by_one_csv_reports_the_search(self, capsys, tmp_path):
-        graph_file = tmp_path / "c5.txt"
-        graph_file.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
-        code = main([
-            "construct", "--family", "lex", "--n", "1", "--base", str(graph_file),
-            "--out", "csv",
-        ])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "no magic label set with index <= 1" in err
-        assert "magiclab index" not in err
 
     def test_output_round_trips(self, capsys):
         _, out = run(capsys, "construct", "--family", "hnp", "--n", "4", "--p", "3")

@@ -2,6 +2,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magiclab import _kernels, search
 from magiclab.graphs import (
@@ -27,6 +29,15 @@ PATH3 = Graph(3, [(0, 1), (1, 2)], "P3")
 STAR4 = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)], "S4")
 PRISM = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)], "prism")
 CUBE = Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b], "cube")
+# irregular: P4 with an isolated vertex, and a 10-vertex graph whose
+# reference row for vertex 2 sets six labels against one
+P4_K1 = Graph(5, [(0, 1), (1, 2), (2, 3)], "P4+K1")
+G10 = Graph(
+    10,
+    [(0, 2), (0, 3), (0, 5), (0, 7), (0, 8), (1, 2), (1, 8), (2, 3), (2, 4), (2, 5),
+     (2, 8), (2, 9), (3, 5), (4, 6), (4, 8), (4, 9), (5, 6), (6, 7), (7, 8)],
+    "G10",
+)
 
 
 def blowup(g: Graph, n: int) -> Graph:
@@ -79,6 +90,25 @@ class TestFindLabeling:
         cfg = SearchConfig(budget_ms=0)
         with pytest.raises(SearchBudgetExceeded, match="wall-clock budget 0 ms exhausted"):
             find_labeling(build_cycle(4), [1, 2, 3, 4], cfg)
+
+
+class TestSearchConfig:
+    """The node budget and the cap are integers; a float is refused, not misread."""
+
+    def test_float_node_limit_raises(self):
+        # the kernel stops at node limit + 1, which no node count equals for 1.5
+        for limit in (1.5, 1.0):
+            with pytest.raises(ValueError, match="must be integers"):
+                SearchConfig(node_limit=limit)
+
+    def test_float_theta_cap_raises(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            SearchConfig(theta_cap=1.5)
+
+    def test_numpy_ints_become_ints(self):
+        cfg = SearchConfig(theta_cap=np.int64(2), node_limit=np.int32(7))
+        assert (cfg.theta_cap, cfg.node_limit) == (2, 7)
+        assert type(cfg.theta_cap) is int and type(cfg.node_limit) is int
 
 
 class TestEnumerate:
@@ -175,6 +205,22 @@ class TestListKernel:
         assert rows == sorted(set(rows))
         assert all(verify_s_magic(g, s).is_magic for s in sols)
 
+    def test_float_labels_raise(self):
+        # truncating 1.9 to 1 would make [1, 2, 4, 3] look magic on C4
+        indptr, nbrs = build_cycle(4).csr()
+        with pytest.raises(ValueError, match="must be integers"):
+            _kernels.backtrack(indptr, nbrs, [1.9, 2, 3, 4], False, 0, True, -1, 1, 1)
+
+    def test_reference_rows_leave_the_callers_rows_alone(self):
+        # an unknown constant adds reference rows to copies of plus and minus
+        plus, minus, twin_prev = search._pruning_rows(G10)
+        before = (repr(plus), repr(minus))
+        indptr, nbrs = G10.csr()
+        _kernels.backtrack(
+            indptr, nbrs, list(range(1, 11)), False, 0, True, -1, 1, 1, plus, minus, twin_prev
+        )
+        assert (repr(plus), repr(minus)) == before
+
     def test_out_full_still_reported(self):
         # C4 has eight magic labelings of 1..4; room for three stops the walk
         indptr, nbrs = build_cycle(4).csr()
@@ -221,13 +267,17 @@ class TestPruningEquivalence:
         build_multipartite(2, 3),
         blowup(PATH3, 2),
         PRISM,
+        # irregular, so the constant is unknown and reference rows prune
+        P4_K1,
+        G10,
     ]
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name or str(g.order))
     def test_pruned_equals_unpruned(self, g):
         n = g.order
         sets = [tuple(range(1, n + 1))]
-        if n >= 3:
+        # the unpruned walk over 10! assignments takes seconds; G10 gets one set
+        if 3 <= n < 10:
             sets.append(tuple(range(2, n + 2)))
             sets.append(tuple(v for v in range(1, n + 2) if v != n))
         plus, minus, _ = search._pruning_rows(g)
@@ -244,6 +294,34 @@ class TestPruningEquivalence:
             )
             rows = [tuple(out[k * n : (k + 1) * n]) for k in range(count)]
             assert rows == [x.labels for x in slow]
+
+
+@st.composite
+def _small_graph(draw):
+    """A graph of order <= 7: a circulant (regular) or any edge set."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        steps = draw(st.sets(st.integers(1, n // 2), max_size=3)) if n > 1 else set()
+        edges = {tuple(sorted((u, (u + k) % n))) for u in range(n) for k in steps}
+        return Graph(n, sorted(edges), "circ")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep], "random")
+
+
+class TestRandomGraphPruning:
+    """Pruning never changes an answer, whether the constant is forced or not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=_small_graph(), deleted=st.integers(1, 8))
+    def test_pruned_equals_unpruned(self, g, deleted):
+        n = g.order
+        pools = [LabelSet.natural(n), LabelSet.without(n + 1, min(deleted, n + 1))]
+        for pool in pools:
+            fast = enumerate_labelings(g, pool)
+            slow = enumerate_labelings(g, pool, SearchConfig(prune=False))
+            assert fast == slow
+            assert find_labeling(g, pool) == (fast[0] if fast else None)
 
 
 class TestFirstHitEquivalence:
@@ -299,6 +377,12 @@ class TestFirstHitEquivalence:
         assert res.kind == "finite" and res.theta == 1
         assert res.witness.labels == (1, 6, 13, 2, 8, 10, 3, 5, 12, 4, 7, 9)
         assert compute_index(g, SearchConfig(node_limit=5_669)).kind == "indeterminate"
+
+    def test_irregular_exact_inside_node_budget(self):
+        # G10 is irregular: its reference rows settle it at cap 1 in 110 nodes
+        res = compute_index(G10, SearchConfig(node_limit=110))
+        assert res.kind == "unknown-at-cap"
+        assert compute_index(G10, SearchConfig(node_limit=109)).kind == "indeterminate"
 
     def test_c6k2_exact_inside_node_budget(self):
         g = blowup(build_cycle(6), 2)
