@@ -70,20 +70,26 @@ class TestConstruct:
         doc = json.loads(out)
         assert doc["theta"] == 1  # r = 3 odd, n = 3 odd
 
-    def test_lex_by_one_refused_names_index(self, capsys, tmp_path):
+    @staticmethod
+    def _assert_lex_by_one_refused(capsys, tmp_path, out):
         # C5[K̄1] is C5: its search belongs to `index`, which takes a budget
         graph_file = tmp_path / "c5.txt"
         graph_file.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
-        for out in ("json", "csv"):
-            code = main([
-                "construct", "--family", "lex", "--n", "1", "--base", str(graph_file),
-                "--out", out,
-            ])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert "--n >= 2" in captured.err and "magiclab index" in captured.err
+        code = main([
+            "construct", "--family", "lex", "--n", "1", "--base", str(graph_file),
+            "--out", out,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--n >= 2" in captured.err and "magiclab index" in captured.err
         assert run(capsys, "index", "--graph", str(graph_file))[0] == 3
+
+    def test_lex_by_one_refused_names_index(self, capsys, tmp_path):
+        self._assert_lex_by_one_refused(capsys, tmp_path, "json")
+
+    def test_lex_by_one_csv_refused_names_index(self, capsys, tmp_path):
+        self._assert_lex_by_one_refused(capsys, tmp_path, "csv")
 
     def test_output_round_trips(self, capsys):
         _, out = run(capsys, "construct", "--family", "hnp", "--n", "4", "--p", "3")
