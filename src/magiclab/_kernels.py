@@ -55,10 +55,13 @@ def backtrack(
     must be smaller than v's, so the label scan of v starts just after it.
 
     With prune set, a branch dies as soon as a completed row misses its
-    target or a partial row can no longer reach it with labels in
-    [labels[0], labels[-1]].  Without prune, full assignments are generated
-    and checked at the leaves only -- same results, no shortcuts; the extra
-    rows and the twin order are ignored.
+    target or a partial row can no longer reach it.  A neighborhood row is
+    bounded with labels in [labels[0], labels[-1]].  An extra row is bounded
+    with the labels still unused: when v tries a label, each row v enters
+    must reach 0 with its unassigned entries between the smallest and the
+    largest unused label other than that one.  Without prune, full
+    assignments are generated and checked at the leaves only -- same
+    results, no shortcuts; the extra rows and the twin order are ignored.
 
     node_limit < 0 means unlimited; a node is one attempted assignment.
     Recording stops after `stop_after` accepted assignments; if an extra one
@@ -100,19 +103,22 @@ def backtrack(
                 nrows += 1
     rows = prune and nrows > 0
     if rows:
-        # per extra row, the least and the most its signed sum can still
-        # reach with labels in [lmin, lmax]; it stays feasible while
-        # low <= 0 <= high
-        low = [0] * nrows
-        high = low[:]
+        # per extra row: the signed sum of its assigned labels, and how many
+        # of its + and - entries are unassigned
+        rsum = [0] * nrows
+        npos = rsum[:]
+        nneg = rsum[:]
         for vrows in plus:
             for r in vrows:
-                low[r] += lmin
-                high[r] += lmax
+                npos[r] += 1
         for vrows in minus:
             for r in vrows:
-                low[r] -= lmax
-                high[r] -= lmin
+                nneg[r] += 1
+        enters = [bool(plus[v] or minus[v]) for v in range(n)]
+        # per depth that enters a row, the two smallest and the two largest
+        # unused labels, taken when the walk moves down to it: every label
+        # tried there sees the same unused set
+        extremes = [()] * n
     twins = prune and len(twin_prev) > 0
     if twins:
         twin_prev = _integers(twin_prev)
@@ -127,6 +133,8 @@ def backtrack(
     count = 0
     depth = 0
     li = 0
+    if rows and enters[0]:
+        extremes[0] = _unused_extremes(labels, used)
     while True:
         while li < n and used[li]:
             li += 1
@@ -152,14 +160,26 @@ def backtrack(
                         if not lo[r] <= c_init - w[u] <= hi[r]:
                             ok = False
                             break
-                if ok and rows:
+                if ok and rows and enters[depth]:
+                    # the unassigned entries of a row take unused labels in [a, b]
+                    a, a2, b, b2 = extremes[depth]
+                    if a == lab:
+                        a = a2
+                    if b == lab:
+                        b = b2
                     for r in plus[depth]:
-                        if low[r] + lab > lmin or high[r] + lab < lmax:
+                        s = rsum[r] + lab
+                        p = npos[r] - 1
+                        m = nneg[r]
+                        if s + p * a > m * b or s + p * b < m * a:
                             ok = False
                             break
                     else:
                         for r in minus[depth]:
-                            if low[r] + lmax > lab or high[r] + lmin < lab:
+                            s = rsum[r] - lab
+                            p = npos[r]
+                            m = nneg[r] - 1
+                            if s + p * a > m * b or s + p * b < m * a:
                                 ok = False
                                 break
                 if not ok:
@@ -171,16 +191,18 @@ def backtrack(
                     continue
             if rows:
                 for r in plus[depth]:
-                    low[r] += lab - lmin
-                    high[r] += lab - lmax
+                    rsum[r] += lab
+                    npos[r] -= 1
                 for r in minus[depth]:
-                    low[r] += lmax - lab
-                    high[r] += lmin - lab
+                    rsum[r] -= lab
+                    nneg[r] -= 1
             pick[depth] = li
             used[li] = True
             if depth + 1 < n:
                 depth += 1
                 li = 0
+                if rows and enters[depth]:
+                    extremes[depth] = _unused_extremes(labels, used)
                 if twins and twin_prev[depth] >= 0:
                     li = pick[twin_prev[depth]] + 1
                 continue
@@ -199,11 +221,34 @@ def backtrack(
             rem[u] += 1
         if rows:
             for r in plus[depth]:
-                low[r] -= lab - lmin
-                high[r] -= lab - lmax
+                rsum[r] -= lab
+                npos[r] += 1
             for r in minus[depth]:
-                low[r] -= lmax - lab
-                high[r] -= lmin - lab
+                rsum[r] += lab
+                nneg[r] += 1
         used[li] = False
         pick[depth] = -1
         li += 1
+
+
+def _unused_extremes(labels, used):
+    """(smallest, second smallest, largest, second largest) unused label.
+
+    With one label unused, it stands in for the second one as well: the
+    vertex that takes it is the last, and no row it enters has an
+    unassigned entry left to bound.
+    """
+    n = len(labels)
+    i = 0
+    while used[i]:
+        i += 1
+    j = i + 1
+    while j < n and used[j]:
+        j += 1
+    k = n - 1
+    while used[k]:
+        k -= 1
+    h = k - 1
+    while h >= 0 and used[h]:
+        h -= 1
+    return labels[i], labels[j if j < n else i], labels[k], labels[h if h >= 0 else k]

@@ -17,11 +17,14 @@ produce one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, build_cycle, build_multipartite, disjoint_union, regular_degree
 from .labeling import Labeling, verify_blowup, verify_s_magic
 from .rectangles import balanced_even, balanced_odd, construct_deleted
+
+if TYPE_CHECKING:
+    from .search import SearchConfig
 
 __all__ = [
     "IndexResult",
@@ -332,14 +335,15 @@ def theta_m_cycle_lex(m: int, p: int, n: int) -> IndexResult:
     return _blowup(base, n, 2, "cycle-blowup", nonsingular=True)
 
 
-def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
+def theta_lex_blowup(g: Graph, n: int, config: SearchConfig | None = None) -> IndexResult:
     """Index of the n-fold blow-up of a regular graph g, g[K̄n].
 
     With p vertices and degree r in g: 0 when n is even or p is odd.  For
     odd n and even p: 1 when r is odd, or when r = p = 2 (mod 4), or when
     the adjacency matrix of some component of g is proven nonsingular;
     otherwise 0.  Blow-ups by 1 carry no rectangle structure and go
-    straight to exact search.
+    straight to exact search, under `config` (its cap and budgets); every
+    other n is decided without search and ignores it.
     """
     if n < 1:
         raise HypothesisError(f"requires n >= 1, got n={n}")
@@ -349,7 +353,7 @@ def theta_lex_blowup(g: Graph, n: int) -> IndexResult:
     if n == 1:
         from .search import compute_index
 
-        return compute_index(g)
+        return compute_index(g, config)
     return _blowup(g, n, r, "regular-blowup")
 
 

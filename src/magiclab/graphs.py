@@ -227,9 +227,12 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
     Raises EdgeListParseError on any fault of a single line; duplicates are
     left to the caller.  Without a header, the first id past
     MAX_INPUT_ORDER - 1 is such a fault, as the order is the largest id + 1.
+    Each distinct token is checked once: `ids` maps it to its id, and a line
+    whose two tokens are both there needs only the self-loop check.
     """
     order: int | None = None
     edges: list[tuple[int, int]] = []
+    ids: dict[str, int] = {}
     top = -1
     for lineno, raw in enumerate(lines, start=1):
         tok = (raw.split("#", 1)[0] if "#" in raw else raw).split()
@@ -252,6 +255,13 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
             continue
         if len(tok) != 2:
             raise EdgeListParseError(f"expected 'u v', got {_content(raw)!r}", lineno)
+        u = ids.get(tok[0])
+        v = ids.get(tok[1])
+        if u is not None and v is not None:
+            if u == v:
+                raise EdgeListParseError(f"self-loop at vertex {u + base}", lineno)
+            edges.append((u, v))
+            continue
         try:
             u, v = int(tok[0]) - base, int(tok[1]) - base
         except ValueError:
@@ -276,6 +286,8 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
             raise EdgeListParseError(
                 f"vertex id exceeds declared order {order}", lineno
             )
+        ids[tok[0]] = u
+        ids[tok[1]] = v
         edges.append((u, v))
     if order is None:
         if not edges:

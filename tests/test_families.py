@@ -30,6 +30,7 @@ from magiclab.graphs import (
 )
 from magiclab.labeling import Labeling, verify_s_magic
 from magiclab.rectangles import case1, complement, construct_deleted
+from magiclab.search import SearchConfig
 
 
 def witness_graph(kind, *args):
@@ -186,6 +187,18 @@ class TestThetaLexBlowup:
         assert r.method == "search"
         assert (r.theta, r.constant) == (1, 11)
         assert r.witness.label_set.values == (1, 2, 3, 4, 5, 7)
+
+    def test_blowup_by_one_keeps_the_search_budget(self):
+        # C8[K̄3] by 1 is a 24-vertex search of about 7.9M nodes unbudgeted
+        g = lex_product(build_cycle(8), empty_graph(3))
+        start = time.perf_counter()
+        r = theta_lex_blowup(g, 1, SearchConfig(node_limit=20_000))
+        assert time.perf_counter() - start < 5.0
+        assert (r.kind, r.detail) == ("indeterminate", "node budget 20000 exhausted")
+
+    def test_blowup_by_one_keeps_the_cap(self):
+        r = theta_lex_blowup(build_cycle(5), 1, SearchConfig(theta_cap=0))
+        assert (r.kind, r.cap) == ("unknown-at-cap", 0)
 
     def test_c6_by_3(self):
         r = theta_lex_blowup(build_cycle(6), 3)

@@ -244,6 +244,12 @@ PARSE_ERRORS = [
     ("0 1\nn 3", False, 2, "line 2: header must precede edges"),
     ("\n 0  1 2 # c", False, 2, "line 2: expected 'u v', got '0  1 2'"),
     ("0 1\n  a  b  #x", False, 2, "line 2: non-integer ids in 'a  b'"),
+    # a token seen on an earlier line is not checked again, its partner is
+    ("0 1\n1 2\n1 1", False, 3, "line 3: self-loop at vertex 1"),
+    ("0 1\n01 1", False, 2, "line 2: self-loop at vertex 1"),
+    ("0 1\n1 x", False, 2, "line 2: non-integer ids in '1 x'"),
+    ("n 2\n0 1\n1 2", False, 3, "line 3: vertex id exceeds declared order 2"),
+    ("1 2\n2 0", True, 2, "line 2: vertex id below 1 in '2 0'"),
     ("", False, 1, "line 1: empty input (no header, no edges)"),
     ("# only\n\n", False, 1, "line 1: empty input (no header, no edges)"),
 ]

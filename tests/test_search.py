@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import numpy as np
@@ -336,6 +337,10 @@ class TestFirstHitEquivalence:
         disjoint_union(build_multipartite(2, 3), 2),
         PRISM,
         CUBE,
+        # order 12: each takes a few thousand nodes with the rows and twins
+        blowup(build_cycle(6), 2),
+        blowup(PRISM, 2),
+        build_multipartite(4, 3),
     ]
     # small enough for the unpruned search; P3 and S4 are not regular
     UNPRUNED = [
@@ -354,6 +359,29 @@ class TestFirstHitEquivalence:
         assert find_labeling(g, values) == find_labeling(g, values, slow)
         assert compute_index(g) == compute_index(g, slow)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random_graphs_match_unpruned(self, seed):
+        # regular circulants and irregular edge sets of order 3..7, against
+        # the unpruned search: every extra row holds in each magic labeling
+        rng = random.Random(seed)
+        slow = SearchConfig(prune=False)
+        regular = 0
+        for k in range(16):
+            n = rng.randint(3, 7)
+            if k % 2:
+                steps = rng.sample(range(1, n // 2 + 1), rng.randint(1, n // 2))
+                edges = {tuple(sorted((u, (u + d) % n))) for u in range(n) for d in steps}
+            else:
+                density = rng.random()
+                edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+            g = Graph(n, sorted(edges))
+            regular += regular_degree(g) is not None
+            deleted = LabelSet.without(n + 1, rng.randint(1, n + 1))
+            for values in (LabelSet.natural(n), deleted):
+                assert find_labeling(g, values) == find_labeling(g, values, slow)
+            assert compute_index(g) == compute_index(g, slow)
+        assert 0 < regular < 16
+
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name)
     def test_same_as_neighborhood_pruning_alone(self, g, monkeypatch):
         # the unpruned search is out of reach on C5[K2] and 2H(2,3), so the
@@ -366,17 +394,17 @@ class TestFirstHitEquivalence:
     # exact node counts: the search succeeds at the pinned budget, not one below
     def test_h26_exact_inside_node_budget(self):
         g = build_multipartite(2, 6)
-        res = compute_index(g, SearchConfig(node_limit=2_025))
+        res = compute_index(g, SearchConfig(node_limit=1_979))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7)
-        assert compute_index(g, SearchConfig(node_limit=2_024)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=1_978)).kind == "indeterminate"
 
     def test_h34_exact_inside_node_budget(self):
         g = build_multipartite(3, 4)
-        res = compute_index(g, SearchConfig(node_limit=5_670))
+        res = compute_index(g, SearchConfig(node_limit=4_670))
         assert res.kind == "finite" and res.theta == 1
         assert res.witness.labels == (1, 6, 13, 2, 8, 10, 3, 5, 12, 4, 7, 9)
-        assert compute_index(g, SearchConfig(node_limit=5_669)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=4_669)).kind == "indeterminate"
 
     def test_irregular_exact_inside_node_budget(self):
         # G10 is irregular: its reference rows settle it at cap 1 in 110 nodes
@@ -387,10 +415,10 @@ class TestFirstHitEquivalence:
     def test_c6k2_exact_inside_node_budget(self):
         g = blowup(build_cycle(6), 2)
         values = tuple(range(1, 13))
-        hit = find_labeling(g, values, SearchConfig(node_limit=28_548))
+        hit = find_labeling(g, values, SearchConfig(node_limit=7_330))
         assert hit is not None and hit == find_labeling(g, values)
         with pytest.raises(SearchBudgetExceeded):
-            find_labeling(g, values, SearchConfig(node_limit=28_547))
+            find_labeling(g, values, SearchConfig(node_limit=7_329))
 
 
 class TestComputeIndex:
