@@ -51,8 +51,12 @@ def backtrack(
     row per vertex u: with ref the vertex whose neighborhood is labeled
     first (the smallest largest neighbor), N(u)-N(ref) and N(ref)-N(u) have
     equal label sums.  These rows all hold exactly when every weight is
-    equal.  Optional twin_prev[v] >= 0 names an earlier vertex whose label
-    must be smaller than v's, so the label scan of v starts just after it.
+    equal.  False twins, vertices with equal CSR neighbor lists, share one
+    neighborhood row, one weight and one reference row: each is kept once
+    per class, a vertex adds its label once to each class it is adjacent
+    to, and a leaf is magic when every class weighs the same.  Optional
+    twin_prev[v] >= 0 names an earlier vertex whose label must be smaller
+    than v's, so the label scan of v starts just after it.
 
     With prune set, a branch dies as soon as a completed row misses its
     target or a partial row can no longer reach it.  A neighborhood row is
@@ -75,9 +79,19 @@ def backtrack(
     nbrs = _integers(nbrs)
     labels = _integers(labels)
     n = len(indptr) - 1
-    # the neighbors whose rows vertex v enters, by v
-    adj = [nbrs[indptr[v] : indptr[v + 1]] for v in range(n)]
-    rem = [len(a) for a in adj]
+    nbhd = [nbrs[indptr[v] : indptr[v + 1]] for v in range(n)]
+    # false twins (equal neighbor lists) always weigh the same, so weights
+    # and open-neighbor counts are kept once per class; reps[k] is the first
+    # vertex of class k, and adj[v] lists the classes whose weight v adds to
+    first: dict[tuple[int, ...], int] = {}
+    for v in range(n):
+        first.setdefault(tuple(nbhd[v]), v)
+    reps = list(first.values())
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for k, u in enumerate(reps):
+        for x in nbhd[u]:
+            adj[x].append(k)
+    rem = [len(nbhd[u]) for u in reps]
     lmin = labels[0]
     lmax = labels[n - 1]
     # a neighborhood with r unassigned vertices can still gain between lo[r]
@@ -88,13 +102,14 @@ def backtrack(
     # extra rows are numbered 0 .. nrows-1
     nrows = 1 + max((r for vrows in (*plus, *minus) for r in vrows), default=-1)
     if prune and not have_c:
-        # reference rows, after the given ones, in copies of the caller's lists
-        ref = min(range(n), key=lambda v: max(adj[v], default=-1))
-        nref = set(adj[ref])
+        # reference rows, after the given ones, in copies of the caller's
+        # lists; twins give the same row, so one is built per class
+        ref = min(range(n), key=lambda v: max(nbhd[v], default=-1))
+        nref = set(nbhd[ref])
         plus = [list(vrows) for vrows in plus] or [[] for _ in range(n)]
         minus = [list(vrows) for vrows in minus] or [[] for _ in range(n)]
-        for u in range(n):
-            nu = set(adj[u])
+        for u in reps:
+            nu = set(nbhd[u])
             if nu != nref:
                 for x in nu - nref:
                     plus[x].append(nrows)
@@ -125,7 +140,7 @@ def backtrack(
 
     # the node that overruns the budget; never reached when unlimited
     overrun = node_limit + 1 if node_limit >= 0 else 0
-    w = [0] * n
+    w = [0] * len(reps)
     pick = [-1] * n
     used = [False] * n
     out: list[int] = []
@@ -206,7 +221,7 @@ def backtrack(
                 if twins and twin_prev[depth] >= 0:
                     li = pick[twin_prev[depth]] + 1
                 continue
-            if w.count(w[0]) == n:
+            if w.count(w[0]) == len(w):
                 if count == max_out:
                     return STATUS_OUT_FULL, nodes, count, out
                 out += [labels[i] for i in pick]

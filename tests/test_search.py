@@ -39,6 +39,8 @@ G10 = Graph(
      (2, 8), (2, 9), (3, 5), (4, 6), (4, 8), (4, 9), (5, 6), (6, 7), (7, 8)],
     "G10",
 )
+# complete tripartite K(3,2,2): parts {0, 1, 2}, {3, 4} and {5, 6}
+K322 = Graph(7, [*product((0, 1, 2), (3, 4, 5, 6)), *product((3, 4), (5, 6))], "K322")
 
 
 def blowup(g: Graph, n: int) -> Graph:
@@ -245,12 +247,67 @@ class TestNaiveOracleAgreement:
         (build_multipartite(2, 3), (1, 2, 3, 4, 5, 6)),
         (build_multipartite(2, 4), (1, 2, 3, 4, 5, 6, 7, 8)),
         (disjoint_union(build_cycle(4), 2), (1, 2, 3, 4, 5, 6, 7, 8)),
+        # false-twin classes, whose weights the kernel keeps once per class:
+        # one class holding every vertex, so all 3! orders are magic
+        (empty_graph(3), (1, 2, 3)),
+        # the leaves and the isolated pair are twin classes, and the isolated
+        # pair has an empty neighborhood
+        (Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4)], "S4+2K1"), (1, 2, 3, 4, 5, 6, 7)),
+        # irregular, with classes of three, two and two: reference rows
+        # built per class
+        (K322, (1, 2, 4, 5, 6, 7, 8)),
     ]
 
     @pytest.mark.parametrize("g,values", CASES)
     def test_matches_permutation_filter(self, g, values):
         got = [lab.labels for lab in enumerate_labelings(g, values)]
         assert got == naive_enumerate(g, values)
+
+
+def _row_sides(g: Graph) -> list[frozenset]:
+    """Each difference row of _pruning_rows as the pair {+ side, - side}."""
+    plus, minus, _ = search._pruning_rows(g)
+    sides: dict[int, tuple[set, set]] = {}
+    for x in range(g.order):
+        for r in plus[x]:
+            sides.setdefault(r, (set(), set()))[0].add(x)
+        for r in minus[x]:
+            sides.setdefault(r, (set(), set()))[1].add(x)
+    assert sorted(sides) == list(range(len(sides)))
+    return [frozenset((frozenset(pos), frozenset(neg))) for pos, neg in sides.values()]
+
+
+class TestPruningRows:
+    """Each distinct difference row reaches the kernel once."""
+
+    COUNTS = [
+        (build_multipartite(3, 4), 6),
+        (build_multipartite(4, 3), 3),
+        (build_multipartite(2, 6), 15),
+        (blowup(PRISM, 2), 3),
+        (blowup(build_cycle(6), 2), 6),
+    ]
+
+    @pytest.mark.parametrize("g,count", COUNTS, ids=lambda x: getattr(x, "name", str(x)))
+    def test_row_counts(self, g, count):
+        assert len(_row_sides(g)) == count
+
+    @pytest.mark.parametrize(
+        "g", [g for g, _ in COUNTS] + [PRISM, CUBE, P4_K1, G10, K322],
+        ids=lambda g: g.name,
+    )
+    def test_distinct_rows_once_each(self, g):
+        # a row and its sign flip are the same row
+        rows = _row_sides(g)
+        assert len(set(rows)) == len(rows)
+        nbhd = [set(g.neighbors(u)) for u in range(g.order)]
+        wanted = {
+            frozenset((frozenset(nbhd[u] - nbhd[v]), frozenset(nbhd[v] - nbhd[u])))
+            for u in range(g.order)
+            for v in range(u + 1, g.order)
+            if 0 < len(nbhd[u] ^ nbhd[v]) <= max(len(nbhd[u]), len(nbhd[v]))
+        }
+        assert set(rows) == wanted
 
 
 class TestPruningEquivalence:
@@ -411,6 +468,20 @@ class TestFirstHitEquivalence:
         res = compute_index(G10, SearchConfig(node_limit=110))
         assert res.kind == "unknown-at-cap"
         assert compute_index(G10, SearchConfig(node_limit=109)).kind == "indeterminate"
+
+    def test_prism_k2_exact_inside_node_budget(self):
+        g = blowup(PRISM, 2)
+        res = compute_index(g, SearchConfig(node_limit=8_957))
+        assert res.kind == "finite" and res.theta == 0
+        assert res.witness.labels == (1, 4, 5, 8, 9, 12, 2, 3, 6, 7, 10, 11)
+        assert compute_index(g, SearchConfig(node_limit=8_956)).kind == "indeterminate"
+
+    def test_h43_exact_inside_node_budget(self):
+        g = build_multipartite(4, 3)
+        res = compute_index(g, SearchConfig(node_limit=2_303))
+        assert res.kind == "finite" and res.theta == 0
+        assert res.witness.labels == (1, 2, 11, 12, 3, 4, 9, 10, 5, 6, 7, 8)
+        assert compute_index(g, SearchConfig(node_limit=2_302)).kind == "indeterminate"
 
     def test_c6k2_exact_inside_node_budget(self):
         g = blowup(build_cycle(6), 2)
