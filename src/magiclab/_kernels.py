@@ -34,38 +34,35 @@ def backtrack(
     """Depth-first search for magic assignments in lexicographic order.
 
     The search solves linear equality rows with +-1 coefficients over a
-    permutation of `labels`.  Vertices are assigned in id order, labels tried
-    in ascending order, so accepted assignments appear sorted by the label
-    vector.  `labels` must be sorted ascending with len(labels) == order.
-    indptr, nbrs, labels and twin_prev may each be a list or a numpy array
-    of integers; each is copied into a list of Python ints on entry, and a
-    float raises ValueError instead of being truncated.  The nine leading
-    parameters and the returned 4-tuple stay as they are: the warm-up in
-    perfbench/run.py passes those nine by position, and its tracer unpacks
-    the return.
+    permutation of `labels`.  Vertices 0 .. n-1, with n = len(labels), are
+    assigned in id order, labels tried in ascending order, so accepted
+    assignments appear sorted by the label vector.  `labels` must be sorted
+    ascending.  indptr, nbrs, labels and twin_prev may each be a list or a
+    numpy array of integers; each is copied into a list of Python ints on
+    entry, and a float raises ValueError instead of being truncated.  The
+    nine leading parameters and the returned 4-tuple stay as they are: the
+    warm-up in perfbench/run.py passes those nine by position, and its
+    tracer unpacks the return.
 
+    (indptr, nbrs) are the weight rows in CSR form: row k is the vertex set
+    nbrs[indptr[k]:indptr[k+1]], and an assignment is magic when every row
+    has the same label sum.  With have_c, each row must sum to c_init.  The
+    search builds one row per false-twin class; the CSR adjacency of the
+    graph is valid too, one row per vertex, where twins only repeat a row.
     Extra rows target 0 and are given by vertex: plus[v] and minus[v] list
-    the rows that vertex v enters with sign +1 and with sign -1.  With
-    have_c, each neighborhood N(u) of the CSR adjacency (indptr, nbrs) is a
-    row whose labels sum to c_init.  Without it, pruning adds a reference
-    row per vertex u: with ref the vertex whose neighborhood is labeled
-    first (the smallest largest neighbor), N(u)-N(ref) and N(ref)-N(u) have
-    equal label sums.  These rows all hold exactly when every weight is
-    equal.  False twins, vertices with equal CSR neighbor lists, share one
-    neighborhood row, one weight and one reference row: each is kept once
-    per class, a vertex adds its label once to each class it is adjacent
-    to, and a leaf is magic when every class weighs the same.  Optional
+    the rows that vertex v enters with sign +1 and with sign -1.  Optional
     twin_prev[v] >= 0 names an earlier vertex whose label must be smaller
     than v's, so the label scan of v starts just after it.
 
     With prune set, a branch dies as soon as a completed row misses its
-    target or a partial row can no longer reach it.  A neighborhood row is
-    bounded with labels in [labels[0], labels[-1]].  An extra row is bounded
-    with the labels still unused: when v tries a label, each row v enters
-    must reach 0 with its unassigned entries between the smallest and the
-    largest unused label other than that one.  Without prune, full
-    assignments are generated and checked at the leaves only -- same
-    results, no shortcuts; the extra rows and the twin order are ignored.
+    target or a partial row can no longer reach it.  A weight row is
+    bounded with labels in [labels[0], labels[-1]], and only against a
+    forced constant.  An extra row is bounded with the labels still unused:
+    when v tries a label, each row v enters must reach 0 with its
+    unassigned entries between the smallest and the largest unused label
+    other than that one.  Without prune, full assignments are generated and
+    checked at the leaves only -- same results, no shortcuts; the extra rows
+    and the twin order are ignored.
 
     node_limit < 0 means unlimited; a node is one attempted assignment.
     Recording stops after `stop_after` accepted assignments; if an extra one
@@ -78,44 +75,24 @@ def backtrack(
     indptr = _integers(indptr)
     nbrs = _integers(nbrs)
     labels = _integers(labels)
-    n = len(indptr) - 1
-    nbhd = [nbrs[indptr[v] : indptr[v + 1]] for v in range(n)]
-    # false twins (equal neighbor lists) always weigh the same, so weights
-    # and open-neighbor counts are kept once per class; reps[k] is the first
-    # vertex of class k, and adj[v] lists the classes whose weight v adds to
-    first: dict[tuple[int, ...], int] = {}
-    for v in range(n):
-        first.setdefault(tuple(nbhd[v]), v)
-    reps = list(first.values())
+    n = len(labels)
+    # adj[v] lists the weight rows that v adds its label to; rem[k] counts
+    # the unassigned vertices of row k
     adj: list[list[int]] = [[] for _ in range(n)]
-    for k, u in enumerate(reps):
-        for x in nbhd[u]:
+    rem = []
+    for k in range(len(indptr) - 1):
+        for x in nbrs[indptr[k] : indptr[k + 1]]:
             adj[x].append(k)
-    rem = [len(nbhd[u]) for u in reps]
+        rem.append(indptr[k + 1] - indptr[k])
     lmin = labels[0]
-    lmax = labels[n - 1]
-    # a neighborhood with r unassigned vertices can still gain between lo[r]
+    lmax = labels[-1]
+    # a weight row with r unassigned vertices can still gain between lo[r]
     # and hi[r]; a complete one (r = 0) must already sum to c_init
     lo = [r * lmin for r in range(max(rem, default=0) + 1)]
     hi = [r * lmax for r in range(len(lo))]
 
     # extra rows are numbered 0 .. nrows-1
     nrows = 1 + max((r for vrows in (*plus, *minus) for r in vrows), default=-1)
-    if prune and not have_c:
-        # reference rows, after the given ones, in copies of the caller's
-        # lists; twins give the same row, so one is built per class
-        ref = min(range(n), key=lambda v: max(nbhd[v], default=-1))
-        nref = set(nbhd[ref])
-        plus = [list(vrows) for vrows in plus] or [[] for _ in range(n)]
-        minus = [list(vrows) for vrows in minus] or [[] for _ in range(n)]
-        for u in reps:
-            nu = set(nbhd[u])
-            if nu != nref:
-                for x in nu - nref:
-                    plus[x].append(nrows)
-                for x in nref - nu:
-                    minus[x].append(nrows)
-                nrows += 1
     rows = prune and nrows > 0
     if rows:
         # per extra row: the signed sum of its assigned labels, and how many
@@ -140,7 +117,7 @@ def backtrack(
 
     # the node that overruns the budget; never reached when unlimited
     overrun = node_limit + 1 if node_limit >= 0 else 0
-    w = [0] * len(reps)
+    w = [0] * len(rem)
     pick = [-1] * n
     used = [False] * n
     out: list[int] = []

@@ -9,11 +9,10 @@ reported index is minimal by construction.
 
 from __future__ import annotations
 
-import math
 import operator
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable
 
 from . import _kernels
@@ -44,11 +43,12 @@ class SearchConfig:
     theta_cap bounds the index explored by compute_index; node_limit is a
     total backtracking-node budget shared across candidate label sets (None
     = unlimited); both are integers, and a float raises ValueError.
-    budget_ms is a wall-clock budget checked before every kernel call of
-    find_labeling, enumerate_labelings and compute_index.  prune disables
-    the fail-fast checks when False (used to show pruning never changes
-    outcomes).  The tie policy is fixed: smallest index, then
-    lexicographically smallest label set, then smallest assignment.
+    budget_ms is a wall-clock budget in ms, a number >= 0, checked before
+    every kernel call of find_labeling, enumerate_labelings and
+    compute_index.  prune disables the fail-fast checks when False (used to
+    show pruning never changes outcomes).  The tie policy is fixed: smallest
+    index, then lexicographically smallest label set, then smallest
+    assignment.
     """
 
     theta_cap: int = 1
@@ -68,8 +68,13 @@ class SearchConfig:
         if self.node_limit is not None and self.node_limit < 0:
             # the kernel reads a negative limit as "unlimited"
             raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
-        if self.budget_ms is not None and math.isnan(self.budget_ms):
-            raise ValueError("budget_ms must be a number, got NaN")
+        if self.budget_ms is not None:
+            try:
+                ok = self.budget_ms >= 0  # False for NaN
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"budget_ms must be a number >= 0, got {self.budget_ms!r}")
 
 
 def _as_label_tuple(g: Graph, label_set: LabelSet | Iterable[int]) -> tuple[int, ...]:
@@ -101,53 +106,66 @@ def _forced_constant(degree: int | None, values: tuple[int, ...]) -> tuple[bool,
     return True, total // len(values)
 
 
-def _pruning_rows(g: Graph) -> tuple[list, ...]:
-    """Extra kernel inputs (plus, minus, twin_prev) for a first hit.
+def _search_rows(g: Graph, refs: bool, first_hit: bool) -> tuple[list, ...]:
+    """Kernel inputs (indptr, nbrs, plus, minus, twin_prev) for a search of g.
 
-    Difference rows: in a magic labeling w(u) = w(v), so the labels on
-    N(u)-N(v) and on N(v)-N(u) have equal sums.  A pair u < v gets that row
-    when the two sets are not both empty and hold no more vertices together
-    than the larger neighborhood.  The kernel bounds a partial row by the
-    unused labels, so such a row can cut a branch before it closes.  Longer
-    rows cost a check at every vertex they hold and rarely cut: on the
-    benchmark's oracle corpus, keeping every pair saves under 1% of the
-    nodes and takes about 25% longer.  Each distinct row is kept once, a
-    row and its sign flip being the same row: the pairs across two false-twin
-    classes all give one row, and a copy would prune only what the first
-    one does.  The rows are handed to the kernel by vertex: plus[x] and
-    minus[x] list, in increasing order, the rows that x enters with sign +1
-    and -1.
+    False twins (N(u) = N(v)) always weigh the same, so the weight rows
+    (indptr, nbrs) hold one row per false-twin class, in CSR form: N(u) for
+    the class's first vertex u, classes in the order of those vertices.
 
-    False twins (N(u) = N(v)) are interchangeable: sorting the labels inside
-    every twin class maps a magic labeling to a magic labeling that is
-    lexicographically no larger.  twin_prev[v] is the previous vertex of v's
-    class (-1 for the first), so the kernel tries only increasing labels
-    along each class and still finds the lexicographically first witness.
+    Extra rows target 0 and reach the kernel by vertex: plus[x] and minus[x]
+    list, in increasing order, the rows that x enters with sign +1 and -1.
+    In a magic labeling w(u) = w(v), so the labels on N(u)-N(v) and on
+    N(v)-N(u) have equal sums, and the kernel can cut a partial row by the
+    unused labels.  Difference rows, for a first hit: a pair of classes gets
+    that row when its two sides hold no more vertices together than the
+    larger neighborhood.  Longer rows cost a check at every vertex they
+    hold and rarely cut: on the benchmark's oracle corpus, keeping every
+    pair saves under 1% of the nodes and takes about 25% longer.  Each
+    distinct row is kept once, a row and its sign flip being the same row.
+    Reference rows, with refs, when no degree forces the constant: the pair
+    (u, ref) for every class u other than ref, the class whose neighborhood
+    is labeled first (the smallest largest neighbor), after the difference
+    rows.  They all hold exactly when every weight is equal.
+
+    Sorting the labels inside every twin class maps a magic labeling to a
+    magic labeling that is lexicographically no larger.  So for a first hit
+    twin_prev[v] is the previous vertex of v's class (-1 for the first), and
+    the kernel tries only increasing labels along each class and still finds
+    the lexicographically first witness.  Enumeration gets no twin order.
     """
     n = g.order
-    nbhd = [set(g.neighbors(u)) for u in range(n)]
-    plus: list[list[int]] = [[] for _ in range(n)]
-    minus: list[list[int]] = [[] for _ in range(n)]
-    # a row and its sign flip are one row, keyed by its two sides
-    seen: set[frozenset] = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            pos = frozenset(nbhd[u] - nbhd[v])
-            neg = frozenset(nbhd[v] - nbhd[u])
-            key = frozenset((pos, neg))
-            if 0 < len(pos) + len(neg) <= max(len(nbhd[u]), len(nbhd[v])) and key not in seen:
-                for x in pos:
-                    plus[x].append(len(seen))
-                for x in neg:
-                    minus[x].append(len(seen))
-                seen.add(key)
     twin_prev = [-1] * n
     last: dict[tuple[int, ...], int] = {}
     for v in range(n):
         key = g.neighbors(v)
         twin_prev[v] = last.get(key, -1)
         last[key] = v
-    return plus, minus, twin_prev
+    weight_rows = [g.neighbors(u) for u in range(n) if twin_prev[u] < 0]
+    nbhd = [set(row) for row in weight_rows]
+    sides: list[tuple[set, set]] = []
+    if first_hit:
+        # a row and its sign flip are one row, keyed by its two sides
+        seen: set[frozenset] = set()
+        for nu, nv in combinations(nbhd, 2):
+            pos, neg = nu - nv, nv - nu
+            key = frozenset((frozenset(pos), frozenset(neg)))
+            if len(pos) + len(neg) <= max(len(nu), len(nv)) and key not in seen:
+                seen.add(key)
+                sides.append((pos, neg))
+    if refs:
+        ref = nbhd[min(range(len(nbhd)), key=lambda k: max(weight_rows[k], default=-1))]
+        sides += [(nu - ref, ref - nu) for nu in nbhd if nu != ref]
+    plus: list[list[int]] = [[] for _ in range(n)]
+    minus: list[list[int]] = [[] for _ in range(n)]
+    for r, (pos, neg) in enumerate(sides):
+        for x in pos:
+            plus[x].append(r)
+        for x in neg:
+            minus[x].append(r)
+    indptr = list(accumulate(map(len, weight_rows), initial=0))
+    nbrs = [x for row in weight_rows for x in row]
+    return indptr, nbrs, plus, minus, twin_prev if first_hit else []
 
 
 class _Kernel:
@@ -155,20 +173,22 @@ class _Kernel:
 
     Graph inputs are built once per search, after the deadline is set, so
     they count against it; the node budget is shared by every run().
-    `rows` asks for the extra inputs from _pruning_rows; they apply only
-    when pruning.  Each label set's forced constant comes from the regular
-    degree found here.
+    Each label set's forced constant comes from the regular degree found
+    here; an irregular graph gets reference rows instead.  `first_hit` asks
+    for the difference rows and the twin order of _search_rows.  Extra rows
+    apply only when pruning.
     """
 
-    def __init__(self, g: Graph, cfg: SearchConfig, rows: bool):
+    def __init__(self, g: Graph, cfg: SearchConfig, first_hit: bool):
         self.deadline = None
         if cfg.budget_ms is not None:
             self.deadline = time.perf_counter() + cfg.budget_ms / 1000.0
         self.cfg = cfg
         self.nodes_left = -1 if cfg.node_limit is None else cfg.node_limit
-        self.csr = g.csr()
         self.degree = regular_degree(g) if cfg.prune else None
-        self.rows = _pruning_rows(g) if cfg.prune and rows else ()
+        self.inputs = _search_rows(
+            g, cfg.prune and self.degree is None, cfg.prune and first_hit
+        )
 
     def run(self, values: tuple[int, ...], stop_after: int) -> list[Labeling]:
         """The first `stop_after` magic assignments of `values`, in order.
@@ -182,16 +202,10 @@ class _Kernel:
         have_c, c = _forced_constant(self.degree, values)
         if have_c and c < 0:
             return []
+        indptr, nbrs, *extra = self.inputs
         status, nodes, count, out = _kernels.backtrack(
-            *self.csr,
-            values,
-            have_c,
-            c,
-            self.cfg.prune,
-            self.nodes_left,
-            stop_after,
-            stop_after,
-            *self.rows,
+            indptr, nbrs, values, have_c, c, self.cfg.prune, self.nodes_left,
+            stop_after, stop_after, *extra,
         )
         if status == _kernels.STATUS_NODE_LIMIT:
             raise SearchBudgetExceeded(f"node budget {self.cfg.node_limit} exhausted")
@@ -215,7 +229,7 @@ def find_labeling(
     """
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
-    hits = _Kernel(g, cfg, rows=True).run(values, 1)
+    hits = _Kernel(g, cfg, first_hit=True).run(values, 1)
     return hits[0] if hits else None
 
 
@@ -237,7 +251,7 @@ def enumerate_labelings(
         )
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
-    return _Kernel(g, cfg, rows=False).run(values, 2**62)
+    return _Kernel(g, cfg, first_hit=False).run(values, 2**62)
 
 
 def adjacent_twins(g: Graph) -> tuple[int, int] | None:
@@ -283,7 +297,7 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
             method="search",
             detail=f"adjacent twins {twins[0]} and {twins[1]} force unequal weights",
         )
-    kernel = _Kernel(g, cfg, rows=True)
+    kernel = _Kernel(g, cfg, first_hit=True)
     try:
         for d in range(cfg.theta_cap + 1):
             for values in _candidate_sets(g.order, d):

@@ -194,6 +194,13 @@ class TestIndex:
         assert main(["index", "--graph", c5_file]) == 2
         assert "MAGICLAB_BUDGET_MS is not a number" in capsys.readouterr().err
 
+    def test_negative_budget_ms_exits_2(self, capsys, monkeypatch, c5_file):
+        assert main(["index", "--graph", c5_file, "--budget-ms", "-5"]) == 2
+        assert "budget_ms must be a number >= 0, got -5.0" in capsys.readouterr().err
+        monkeypatch.setenv("MAGICLAB_BUDGET_MS", "-1")
+        assert main(["index", "--graph", c5_file]) == 2
+        assert "budget_ms must be a number >= 0, got -1.0" in capsys.readouterr().err
+
     def test_budget_flag_overrides_env(self, capsys, monkeypatch, c5_file):
         monkeypatch.setenv("MAGICLAB_BUDGET_MS", "0")
         code, out = run(capsys, "index", "--graph", c5_file, "--budget-ms", "100000")

@@ -41,6 +41,11 @@ G10 = Graph(
 )
 # complete tripartite K(3,2,2): parts {0, 1, 2}, {3, 4} and {5, 6}
 K322 = Graph(7, [*product((0, 1, 2), (3, 4, 5, 6)), *product((3, 4), (5, 6))], "K322")
+# K(4,2,2): irregular, three twin classes, 192 magic orders on 1..8
+K422 = Graph(8, [*product((0, 1, 2, 3), (4, 5, 6, 7)), *product((4, 5), (6, 7))], "K422")
+# the leaves and the isolated pair are twin classes, and the isolated pair
+# has an empty neighborhood
+S4_2K1 = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4)], "S4+2K1")
 
 
 def blowup(g: Graph, n: int) -> Graph:
@@ -108,6 +113,17 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="must be integers"):
             SearchConfig(theta_cap=1.5)
 
+    def test_negative_budget_ms_raises(self):
+        # the first kernel call used to report it as an exhausted budget
+        for budget in (-5, -0.001):
+            with pytest.raises(ValueError, match="budget_ms must be a number >= 0"):
+                SearchConfig(budget_ms=budget)
+
+    def test_non_number_budget_ms_raises_value_error(self):
+        for budget in ("x", [1]):
+            with pytest.raises(ValueError, match="budget_ms must be a number >= 0"):
+                SearchConfig(budget_ms=budget)
+
     def test_numpy_ints_become_ints(self):
         cfg = SearchConfig(theta_cap=np.int64(2), node_limit=np.int32(7))
         assert (cfg.theta_cap, cfg.node_limit) == (2, 7)
@@ -174,8 +190,8 @@ class TestListKernel:
         "g,values,rows,limit", CASES, ids=["C4", "prism-rows", "P3[K2]-rows", "C6[K2]-rows-budget", "mixed"]
     )
     def test_arrays_and_lists_agree(self, g, values, rows, limit):
-        indptr, nbrs = g.csr()
-        plus, minus, twin_prev = search._pruning_rows(g) if rows else ((), (), ())
+        refs = regular_degree(g) is None
+        indptr, nbrs, plus, minus, twin_prev = search._search_rows(g, refs, rows)
         forced = search._forced_constant(regular_degree(g), values)
         for (have_c, c), prune in product([(False, 0), forced], (True, False)):
             as_arrays = _kernels.backtrack(
@@ -214,15 +230,20 @@ class TestListKernel:
         with pytest.raises(ValueError, match="must be integers"):
             _kernels.backtrack(indptr, nbrs, [1.9, 2, 3, 4], False, 0, True, -1, 1, 1)
 
-    def test_reference_rows_leave_the_callers_rows_alone(self):
-        # an unknown constant adds reference rows to copies of plus and minus
-        plus, minus, twin_prev = search._pruning_rows(G10)
-        before = (repr(plus), repr(minus))
-        indptr, nbrs = G10.csr()
-        _kernels.backtrack(
-            indptr, nbrs, list(range(1, 11)), False, 0, True, -1, 1, 1, plus, minus, twin_prev
-        )
-        assert (repr(plus), repr(minus)) == before
+    @pytest.mark.parametrize(
+        "g", [blowup(build_cycle(6), 2), build_multipartite(3, 4), K322, S4_2K1], ids=lambda g: g.name
+    )
+    def test_vertex_rows_and_class_rows_agree(self, g):
+        # the CSR adjacency repeats a weight row for every twin, and a
+        # repeated row prunes and accepts exactly what the first one does
+        values = tuple(range(1, g.order + 1))
+        forced = search._forced_constant(regular_degree(g), values)
+        for first_hit in (True, False):
+            indptr, nbrs, *extra = search._search_rows(g, regular_degree(g) is None, first_hit)
+            assert len(indptr) < g.order + 1
+            for (have_c, c), prune in product([(False, 0), forced], (True, False)):
+                args = (values, have_c, c, prune, 5_000, 2**62, 2**62, *extra)
+                assert _kernels.backtrack(indptr, nbrs, *args) == _kernels.backtrack(*g.csr(), *args)
 
     def test_out_full_still_reported(self):
         # C4 has eight magic labelings of 1..4; room for three stops the walk
@@ -250,9 +271,7 @@ class TestNaiveOracleAgreement:
         # false-twin classes, whose weights the kernel keeps once per class:
         # one class holding every vertex, so all 3! orders are magic
         (empty_graph(3), (1, 2, 3)),
-        # the leaves and the isolated pair are twin classes, and the isolated
-        # pair has an empty neighborhood
-        (Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4)], "S4+2K1"), (1, 2, 3, 4, 5, 6, 7)),
+        (S4_2K1, (1, 2, 3, 4, 5, 6, 7)),
         # irregular, with classes of three, two and two: reference rows
         # built per class
         (K322, (1, 2, 4, 5, 6, 7, 8)),
@@ -265,8 +284,8 @@ class TestNaiveOracleAgreement:
 
 
 def _row_sides(g: Graph) -> list[frozenset]:
-    """Each difference row of _pruning_rows as the pair {+ side, - side}."""
-    plus, minus, _ = search._pruning_rows(g)
+    """Each difference row of _search_rows as the pair {+ side, - side}."""
+    _, _, plus, minus, _ = search._search_rows(g, False, True)
     sides: dict[int, tuple[set, set]] = {}
     for x in range(g.order):
         for r in plus[x]:
@@ -325,21 +344,21 @@ class TestPruningEquivalence:
         build_multipartite(2, 3),
         blowup(PATH3, 2),
         PRISM,
-        # irregular, so the constant is unknown and reference rows prune
+        # irregular, so the constant is unknown and reference rows prune; the
+        # twin classes of K(4,2,2) share one reference row each
         P4_K1,
-        G10,
+        K422,
     ]
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name or str(g.order))
     def test_pruned_equals_unpruned(self, g):
         n = g.order
-        sets = [tuple(range(1, n + 1))]
-        # the unpruned walk over 10! assignments takes seconds; G10 gets one set
-        if 3 <= n < 10:
-            sets.append(tuple(range(2, n + 2)))
-            sets.append(tuple(v for v in range(1, n + 2) if v != n))
-        plus, minus, _ = search._pruning_rows(g)
-        indptr, nbrs = g.csr()
+        sets = [
+            tuple(range(1, n + 1)),
+            tuple(range(2, n + 2)),
+            tuple(v for v in range(1, n + 2) if v != n),
+        ]
+        indptr, nbrs, plus, minus, _ = search._search_rows(g, False, True)
         for values in sets:
             fast = enumerate_labelings(g, values, SearchConfig(prune=True))
             slow = enumerate_labelings(g, values, SearchConfig(prune=False))
@@ -352,6 +371,11 @@ class TestPruningEquivalence:
             )
             rows = [tuple(out[k * n : (k + 1) * n]) for k in range(count)]
             assert rows == [x.labels for x in slow]
+
+    def test_k422_keeps_every_labeling(self):
+        # a reference row with a wrong sign would leave none of them
+        for values in ((1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 4, 5, 6, 7, 8, 9)):
+            assert len(enumerate_labelings(K422, values)) == 192
 
 
 @st.composite
@@ -442,11 +466,28 @@ class TestFirstHitEquivalence:
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name)
     def test_same_as_neighborhood_pruning_alone(self, g, monkeypatch):
         # the unpruned search is out of reach on C5[K2] and 2H(2,3), so the
-        # reference here is the pruned search without the extra rows and twins
+        # reference here is the pruned search without the difference rows and
+        # the twin order: the inputs an enumeration gets
         values = tuple(range(1, g.order + 1))
+        nodes = []
+        backtrack = _kernels.backtrack
+
+        def counted(*args):
+            result = backtrack(*args)
+            nodes.append(result[1])
+            return result
+
+        monkeypatch.setattr(_kernels, "backtrack", counted)
         fast = (find_labeling(g, values), compute_index(g))
-        monkeypatch.setattr(search, "_pruning_rows", lambda g: ())
+        fast_nodes = sum(nodes)
+        nodes.clear()
+        search_rows = search._search_rows
+        monkeypatch.setattr(
+            search, "_search_rows", lambda g, refs, first_hit: search_rows(g, refs, False)
+        )
         assert fast == (find_labeling(g, values), compute_index(g))
+        # the patch took effect: the rows and the twin order did prune
+        assert sum(nodes) > fast_nodes
 
     # exact node counts: the search succeeds at the pinned budget, not one below
     def test_h26_exact_inside_node_budget(self):
