@@ -8,6 +8,8 @@ closed-form construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .labeling import _integers
 
 BACKEND = "python"
@@ -57,14 +59,19 @@ def backtrack(
     With prune set, a branch dies as soon as a completed row misses its
     target or a partial row can no longer reach it.  A weight row is
     bounded with labels in [labels[0], labels[-1]], and only against a
-    forced constant.  An extra row is bounded with the labels still unused:
-    when v tries a label, each row v enters must reach 0 with its
-    unassigned entries between the smallest and the largest unused label
-    other than that one.  Without prune, full assignments are generated and
-    checked at the leaves only -- same results, no shortcuts; the extra rows
-    and the twin order are ignored.
+    forced constant.  An extra row is bounded with the labels still unused,
+    between the smallest a and the largest b of them.  When the walk enters
+    a vertex v, each row v enters can still reach 0 with its unassigned
+    entries in [a, b] only for v's labels in one interval, and v's scan
+    covers only the labels inside every such interval of its rows.  A label
+    strictly between a and b needs no further check.  When v tries a or b
+    itself, the open entries cannot take it, so that try checks v's rows
+    again with the next unused label in its place.  Without prune, full
+    assignments are generated and checked at the leaves only -- same
+    results, no shortcuts; the extra rows and the twin order are ignored.
 
-    node_limit < 0 means unlimited; a node is one attempted assignment.
+    node_limit < 0 means unlimited; a node is one attempted assignment, and
+    a label outside the scan is never attempted.
     Recording stops after `stop_after` accepted assignments; if an extra one
     is found once `max_out` are recorded, the walk aborts with
     STATUS_OUT_FULL.
@@ -109,8 +116,10 @@ def backtrack(
         enters = [bool(plus[v] or minus[v]) for v in range(n)]
         # per depth that enters a row, the two smallest and the two largest
         # unused labels, taken when the walk moves down to it: every label
-        # tried there sees the same unused set
+        # tried there sees the same unused set; and the end of its label
+        # scan, which still holds when the walk steps back to that depth
         extremes = [()] * n
+        top = [n] * n
     twins = prune and len(twin_prev) > 0
     if twins:
         twin_prev = _integers(twin_prev)
@@ -125,12 +134,15 @@ def backtrack(
     count = 0
     depth = 0
     li = 0
+    # the scan at `depth` stops before labels[stop]
+    stop = n
     if rows and enters[0]:
-        extremes[0] = _unused_extremes(labels, used)
+        extremes[0], li, stop = _row_window(labels, used, plus[0], minus[0], rsum, npos, nneg)
+        top[0] = stop
     while True:
-        while li < n and used[li]:
+        while li < stop and used[li]:
             li += 1
-        if li == n:
+        if li >= stop:
             # labels exhausted at this depth: undo the level above
             if depth == 0:
                 return STATUS_DONE, nodes, count, out
@@ -153,27 +165,30 @@ def backtrack(
                             ok = False
                             break
                 if ok and rows and enters[depth]:
-                    # the unassigned entries of a row take unused labels in [a, b]
+                    # the unassigned entries of a row take unused labels in
+                    # [a, b] other than lab; the scan window already holds
+                    # every row for a label strictly between a and b
                     a, a2, b, b2 = extremes[depth]
-                    if a == lab:
-                        a = a2
-                    if b == lab:
-                        b = b2
-                    for r in plus[depth]:
-                        s = rsum[r] + lab
-                        p = npos[r] - 1
-                        m = nneg[r]
-                        if s + p * a > m * b or s + p * b < m * a:
-                            ok = False
-                            break
-                    else:
-                        for r in minus[depth]:
-                            s = rsum[r] - lab
-                            p = npos[r]
-                            m = nneg[r] - 1
+                    if lab == a or lab == b:
+                        if a == lab:
+                            a = a2
+                        if b == lab:
+                            b = b2
+                        for r in plus[depth]:
+                            s = rsum[r] + lab
+                            p = npos[r] - 1
+                            m = nneg[r]
                             if s + p * a > m * b or s + p * b < m * a:
                                 ok = False
                                 break
+                        else:
+                            for r in minus[depth]:
+                                s = rsum[r] - lab
+                                p = npos[r]
+                                m = nneg[r] - 1
+                                if s + p * a > m * b or s + p * b < m * a:
+                                    ok = False
+                                    break
                 if not ok:
                     # roll back the failed attempt in place
                     for u in nb:
@@ -193,10 +208,16 @@ def backtrack(
             if depth + 1 < n:
                 depth += 1
                 li = 0
-                if rows and enters[depth]:
-                    extremes[depth] = _unused_extremes(labels, used)
+                if rows:
+                    if enters[depth]:
+                        extremes[depth], li, top[depth] = _row_window(
+                            labels, used, plus[depth], minus[depth], rsum, npos, nneg
+                        )
+                    stop = top[depth]
                 if twins and twin_prev[depth] >= 0:
-                    li = pick[twin_prev[depth]] + 1
+                    start = pick[twin_prev[depth]] + 1
+                    if start > li:
+                        li = start
                 continue
             if w.count(w[0]) == len(w):
                 if count == max_out:
@@ -212,6 +233,7 @@ def backtrack(
             w[u] -= lab
             rem[u] += 1
         if rows:
+            stop = top[depth]
             for r in plus[depth]:
                 rsum[r] -= lab
                 npos[r] += 1
@@ -223,12 +245,19 @@ def backtrack(
         li += 1
 
 
-def _unused_extremes(labels, used):
-    """(smallest, second smallest, largest, second largest) unused label.
+def _row_window(labels, used, prow, mrow, rsum, npos, nneg):
+    """(extremes, start, stop) at a vertex entering + rows prow, - rows mrow.
 
-    With one label unused, it stands in for the second one as well: the
-    vertex that takes it is the last, and no row it enters has an
-    unassigned entry left to bound.
+    extremes = (a, a2, b, b2) are the smallest, second smallest, largest and
+    second largest unused label.  With one label unused, it stands in for
+    the second one as well: the vertex that takes it is the last, and no row
+    it enters has an unassigned entry left to bound.
+
+    Row r of prow, with p open + entries and m open - entries after the
+    vertex, can still reach 0 with them in [a, b] only when
+    m*a - p*b <= rsum[r] + lab <= m*b - p*a; a row of mrow is the same with
+    -lab.  labels[start:stop] are the labels inside every such interval,
+    and a label outside fails at its try.
     """
     n = len(labels)
     i = 0
@@ -243,4 +272,29 @@ def _unused_extremes(labels, used):
     h = k - 1
     while h >= 0 and used[h]:
         h -= 1
-    return labels[i], labels[j if j < n else i], labels[k], labels[h if h >= 0 else k]
+    a = labels[i]
+    b = labels[k]
+    lo = a
+    hi = b
+    for r in prow:
+        p = npos[r] - 1
+        m = nneg[r]
+        s = rsum[r]
+        x = m * a - p * b - s
+        if x > lo:
+            lo = x
+        x = m * b - p * a - s
+        if x < hi:
+            hi = x
+    for r in mrow:
+        p = npos[r]
+        m = nneg[r] - 1
+        s = rsum[r]
+        x = s + p * a - m * b
+        if x > lo:
+            lo = x
+        x = s + p * b - m * a
+        if x < hi:
+            hi = x
+    extremes = a, labels[j if j < n else i], b, labels[h if h >= 0 else k]
+    return extremes, bisect_left(labels, lo, i, k + 1), bisect_right(labels, hi, i, k + 1)

@@ -46,10 +46,27 @@ K422 = Graph(8, [*product((0, 1, 2, 3), (4, 5, 6, 7)), *product((4, 5), (6, 7))]
 # the leaves and the isolated pair are twin classes, and the isolated pair
 # has an empty neighborhood
 S4_2K1 = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4)], "S4+2K1")
+# N(3) is inside N(1): their difference row asks f(0) = 0
+P4 = Graph(4, [(0, 1), (1, 2), (2, 3)], "P4")
 
 
 def blowup(g: Graph, n: int) -> Graph:
     return lex_product(g, empty_graph(n))
+
+
+@pytest.fixture
+def kernel_nodes(monkeypatch):
+    """The node count of every kernel call made during the test, in order."""
+    nodes = []
+    backtrack = _kernels.backtrack
+
+    def counted(*args):
+        result = backtrack(*args)
+        nodes.append(result[1])
+        return result
+
+    monkeypatch.setattr(_kernels, "backtrack", counted)
+    return nodes
 
 
 def naive_enumerate(g: Graph, values) -> list[tuple[int, ...]]:
@@ -150,6 +167,16 @@ class TestEnumerate:
         cfg = SearchConfig(budget_ms=0)
         with pytest.raises(SearchBudgetExceeded, match="wall-clock budget 0 ms exhausted"):
             enumerate_labelings(build_cycle(4), [1, 2, 3, 4], cfg)
+
+    @pytest.mark.parametrize(
+        "g,nodes", [(build_multipartite(4, 2), 13_948), (blowup(build_cycle(4), 2), 33_136)],
+        ids=lambda x: getattr(x, "name", str(x)),
+    )
+    def test_regular_walk_node_counts(self, g, nodes, kernel_nodes):
+        # a regular graph gives enumeration its weight rows and nothing else,
+        # so these exact counts move only when the weight-row walk does
+        assert len(enumerate_labelings(g, range(1, 9))) == 4_608
+        assert kernel_nodes == [nodes]
 
     def test_buffer_regrowth(self):
         # the edgeless graph accepts every bijection: 7! = 5040 solutions,
@@ -462,75 +489,96 @@ class TestFirstHitEquivalence:
                 assert find_labeling(g, values) == find_labeling(g, values, slow)
             assert compute_index(g) == compute_index(g, slow)
         assert 0 < regular < 16
+        # blow-ups B[K2] of bases of order 2 or 3, where twin order and the
+        # windows meet, and irregular graphs with a vertex x whose
+        # neighborhood lies inside another's, so one difference row has one
+        # side only
+        for k in range(4):
+            if k % 2:
+                b = rng.randint(2, 3)
+                base = [(u, v) for u in range(b) for v in range(u + 1, b) if rng.random() < 0.7]
+                g = blowup(Graph(b, base), 2)
+            else:
+                n = rng.randint(3, 6)
+                edges = {(0, 1)} | {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6}
+                g0 = Graph(n, sorted(edges))
+                u = max(range(n), key=lambda x: len(g0.neighbors(x)))
+                inside = [y for y in g0.neighbors(u) if rng.random() < 0.6] or [g0.neighbors(u)[0]]
+                g = Graph(n + 1, sorted(edges | {(y, n) for y in inside}))
+            for values in (LabelSet.natural(g.order), LabelSet.without(g.order + 1, rng.randint(1, g.order + 1))):
+                assert find_labeling(g, values) == find_labeling(g, values, slow)
+            assert compute_index(g) == compute_index(g, slow)
+
+    def test_p4_settled_without_a_node(self, kernel_nodes):
+        # vertex 0 is the one open entry of the row f(0) = 0, so its scan
+        # window is empty and no label is tried at any candidate set
+        slow = SearchConfig(prune=False)
+        assert find_labeling(P4, range(1, 5)) is None
+        assert compute_index(P4).kind == "unknown-at-cap"
+        assert sum(kernel_nodes) == 0
+        assert find_labeling(P4, range(1, 5), slow) is None
+        assert compute_index(P4, slow) == compute_index(P4)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name)
-    def test_same_as_neighborhood_pruning_alone(self, g, monkeypatch):
+    def test_same_as_neighborhood_pruning_alone(self, g, monkeypatch, kernel_nodes):
         # the unpruned search is out of reach on C5[K2] and 2H(2,3), so the
         # reference here is the pruned search without the difference rows and
         # the twin order: the inputs an enumeration gets
         values = tuple(range(1, g.order + 1))
-        nodes = []
-        backtrack = _kernels.backtrack
-
-        def counted(*args):
-            result = backtrack(*args)
-            nodes.append(result[1])
-            return result
-
-        monkeypatch.setattr(_kernels, "backtrack", counted)
         fast = (find_labeling(g, values), compute_index(g))
-        fast_nodes = sum(nodes)
-        nodes.clear()
+        fast_nodes = sum(kernel_nodes)
+        kernel_nodes.clear()
         search_rows = search._search_rows
         monkeypatch.setattr(
             search, "_search_rows", lambda g, refs, first_hit: search_rows(g, refs, False)
         )
         assert fast == (find_labeling(g, values), compute_index(g))
         # the patch took effect: the rows and the twin order did prune
-        assert sum(nodes) > fast_nodes
+        assert sum(kernel_nodes) > fast_nodes
 
     # exact node counts: the search succeeds at the pinned budget, not one below
     def test_h26_exact_inside_node_budget(self):
         g = build_multipartite(2, 6)
-        res = compute_index(g, SearchConfig(node_limit=1_979))
+        res = compute_index(g, SearchConfig(node_limit=533))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7)
-        assert compute_index(g, SearchConfig(node_limit=1_978)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=532)).kind == "indeterminate"
 
     def test_h34_exact_inside_node_budget(self):
         g = build_multipartite(3, 4)
-        res = compute_index(g, SearchConfig(node_limit=4_670))
+        res = compute_index(g, SearchConfig(node_limit=1_449))
         assert res.kind == "finite" and res.theta == 1
         assert res.witness.labels == (1, 6, 13, 2, 8, 10, 3, 5, 12, 4, 7, 9)
-        assert compute_index(g, SearchConfig(node_limit=4_669)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=1_448)).kind == "indeterminate"
 
     def test_irregular_exact_inside_node_budget(self):
-        # G10 is irregular: its reference rows settle it at cap 1 in 110 nodes
-        res = compute_index(G10, SearchConfig(node_limit=110))
+        # G10 is irregular, and N(9) is inside N(8): their difference row
+        # asks f(0) + f(1) + f(7) = 0, so vertex 0's scan window is empty
+        # for every set of positive labels and cap 1 is settled in 0 nodes
+        res = compute_index(G10, SearchConfig(node_limit=0))
         assert res.kind == "unknown-at-cap"
-        assert compute_index(G10, SearchConfig(node_limit=109)).kind == "indeterminate"
 
     def test_prism_k2_exact_inside_node_budget(self):
         g = blowup(PRISM, 2)
-        res = compute_index(g, SearchConfig(node_limit=8_957))
+        res = compute_index(g, SearchConfig(node_limit=2_645))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 4, 5, 8, 9, 12, 2, 3, 6, 7, 10, 11)
-        assert compute_index(g, SearchConfig(node_limit=8_956)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=2_644)).kind == "indeterminate"
 
     def test_h43_exact_inside_node_budget(self):
         g = build_multipartite(4, 3)
-        res = compute_index(g, SearchConfig(node_limit=2_303))
+        res = compute_index(g, SearchConfig(node_limit=890))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 2, 11, 12, 3, 4, 9, 10, 5, 6, 7, 8)
-        assert compute_index(g, SearchConfig(node_limit=2_302)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=889)).kind == "indeterminate"
 
     def test_c6k2_exact_inside_node_budget(self):
         g = blowup(build_cycle(6), 2)
         values = tuple(range(1, 13))
-        hit = find_labeling(g, values, SearchConfig(node_limit=7_330))
+        hit = find_labeling(g, values, SearchConfig(node_limit=2_339))
         assert hit is not None and hit == find_labeling(g, values)
         with pytest.raises(SearchBudgetExceeded):
-            find_labeling(g, values, SearchConfig(node_limit=7_329))
+            find_labeling(g, values, SearchConfig(node_limit=2_338))
 
 
 class TestComputeIndex:
