@@ -59,16 +59,14 @@ def backtrack(
     With prune set, a branch dies as soon as a completed row misses its
     target or a partial row can no longer reach it.  A weight row is
     bounded with labels in [labels[0], labels[-1]], and only against a
-    forced constant.  An extra row is bounded with the labels still unused,
-    between the smallest a and the largest b of them.  When the walk enters
-    a vertex v, each row v enters can still reach 0 with its unassigned
-    entries in [a, b] only for v's labels in one interval, and v's scan
-    covers only the labels inside every such interval of its rows.  A label
-    strictly between a and b needs no further check.  When v tries a or b
-    itself, the open entries cannot take it, so that try checks v's rows
-    again with the next unused label in its place.  Without prune, full
-    assignments are generated and checked at the leaves only -- same
-    results, no shortcuts; the extra rows and the twin order are ignored.
+    forced constant.  An extra row is bounded with the labels still unused
+    other than the one tried.  When the walk enters a vertex v, the unused
+    labels and every row's sum and open entries stay fixed while v's labels
+    are scanned, so `_row_window` works out once which of v's labels every
+    row it enters admits, and v's scan covers exactly those labels: no try
+    checks an extra row again.  Without prune, full assignments are
+    generated and checked at the leaves only -- same results, no
+    shortcuts; the extra rows and the twin order are ignored.
 
     node_limit < 0 means unlimited; a node is one attempted assignment, and
     a label outside the scan is never attempted.
@@ -114,11 +112,8 @@ def backtrack(
             for r in vrows:
                 nneg[r] += 1
         enters = [bool(plus[v] or minus[v]) for v in range(n)]
-        # per depth that enters a row, the two smallest and the two largest
-        # unused labels, taken when the walk moves down to it: every label
-        # tried there sees the same unused set; and the end of its label
-        # scan, which still holds when the walk steps back to that depth
-        extremes = [()] * n
+        # per depth that enters a row, the end of its label scan, which
+        # still holds when the walk steps back to that depth
         top = [n] * n
     twins = prune and len(twin_prev) > 0
     if twins:
@@ -137,7 +132,7 @@ def backtrack(
     # the scan at `depth` stops before labels[stop]
     stop = n
     if rows and enters[0]:
-        extremes[0], li, stop = _row_window(labels, used, plus[0], minus[0], rsum, npos, nneg)
+        li, stop = _row_window(labels, used, 0, plus[0], minus[0], rsum, npos, nneg)
         top[0] = stop
     while True:
         while li < stop and used[li]:
@@ -156,39 +151,13 @@ def backtrack(
             for u in nb:
                 w[u] += lab
                 rem[u] -= 1
-            if prune:
+            if prune and have_c:
                 ok = True
-                if have_c:
-                    for u in nb:
-                        r = rem[u]
-                        if not lo[r] <= c_init - w[u] <= hi[r]:
-                            ok = False
-                            break
-                if ok and rows and enters[depth]:
-                    # the unassigned entries of a row take unused labels in
-                    # [a, b] other than lab; the scan window already holds
-                    # every row for a label strictly between a and b
-                    a, a2, b, b2 = extremes[depth]
-                    if lab == a or lab == b:
-                        if a == lab:
-                            a = a2
-                        if b == lab:
-                            b = b2
-                        for r in plus[depth]:
-                            s = rsum[r] + lab
-                            p = npos[r] - 1
-                            m = nneg[r]
-                            if s + p * a > m * b or s + p * b < m * a:
-                                ok = False
-                                break
-                        else:
-                            for r in minus[depth]:
-                                s = rsum[r] - lab
-                                p = npos[r]
-                                m = nneg[r] - 1
-                                if s + p * a > m * b or s + p * b < m * a:
-                                    ok = False
-                                    break
+                for u in nb:
+                    r = rem[u]
+                    if not lo[r] <= c_init - w[u] <= hi[r]:
+                        ok = False
+                        break
                 if not ok:
                     # roll back the failed attempt in place
                     for u in nb:
@@ -208,16 +177,14 @@ def backtrack(
             if depth + 1 < n:
                 depth += 1
                 li = 0
+                if twins and twin_prev[depth] >= 0:
+                    li = pick[twin_prev[depth]] + 1
                 if rows:
                     if enters[depth]:
-                        extremes[depth], li, top[depth] = _row_window(
-                            labels, used, plus[depth], minus[depth], rsum, npos, nneg
+                        li, top[depth] = _row_window(
+                            labels, used, li, plus[depth], minus[depth], rsum, npos, nneg
                         )
                     stop = top[depth]
-                if twins and twin_prev[depth] >= 0:
-                    start = pick[twin_prev[depth]] + 1
-                    if start > li:
-                        li = start
                 continue
             if w.count(w[0]) == len(w):
                 if count == max_out:
@@ -245,37 +212,59 @@ def backtrack(
         li += 1
 
 
-def _row_window(labels, used, prow, mrow, rsum, npos, nneg):
-    """(extremes, start, stop) at a vertex entering + rows prow, - rows mrow.
+def _row_window(labels, used, first, prow, mrow, rsum, npos, nneg):
+    """(start, stop) at a vertex entering + rows prow and - rows mrow.
 
-    extremes = (a, a2, b, b2) are the smallest, second smallest, largest and
-    second largest unused label.  With one label unused, it stands in for
-    the second one as well: the vertex that takes it is the last, and no row
-    it enters has an unassigned entry left to bound.
-
-    Row r of prow, with p open + entries and m open - entries after the
-    vertex, can still reach 0 with them in [a, b] only when
-    m*a - p*b <= rsum[r] + lab <= m*b - p*a; a row of mrow is the same with
-    -lab.  labels[start:stop] are the labels inside every such interval,
-    and a label outside fails at its try.
+    Let a and b be the smallest and the largest unused label, and a2 and b2
+    the next ones inward.  The open entries of the rows take unused labels
+    other than the one tried: labels in [a2, b] when a is tried, in
+    [a, b2] when b is, and in [a, b] otherwise.  The scan starts at index
+    `first` or later, where the twin order puts it, and an unused label
+    from there on lies in labels[start:stop] exactly when every row can
+    still reach 0 with its open entries so bounded.  The labels strictly
+    between a and b that pass form one interval; a and b, when the scan
+    can reach them inside it, are tested with their own bounds and cut
+    off its ends if they fail.
     """
-    n = len(labels)
     i = 0
     while used[i]:
         i += 1
-    j = i + 1
-    while j < n and used[j]:
-        j += 1
-    k = n - 1
+    k = len(labels) - 1
     while used[k]:
         k -= 1
-    h = k - 1
-    while h >= 0 and used[h]:
-        h -= 1
     a = labels[i]
     b = labels[k]
-    lo = a
-    hi = b
+    lo, hi = _narrow(a, b, a, b, prow, mrow, rsum, npos, nneg)
+    start = bisect_left(labels, lo, i if i > first else first, k + 1)
+    stop = bisect_right(labels, hi, i, k + 1)
+    if start == i < stop:
+        # a2 is the next unused label up; a lone unused label stands in for
+        # it, and then no row has an open entry left to bound
+        j = i + 1 if i < k else k
+        while used[j]:
+            j += 1
+        lo, hi = _narrow(a, a, labels[j], b, prow, mrow, rsum, npos, nneg)
+        if lo > hi:
+            start = i + 1
+    if start < stop == k + 1:
+        # b2 is the next unused label down
+        h = k - 1 if i < k else k
+        while used[h]:
+            h -= 1
+        lo, hi = _narrow(b, b, a, labels[h], prow, mrow, rsum, npos, nneg)
+        if lo > hi:
+            stop = k
+    return start, stop
+
+
+def _narrow(lo, hi, a, b, prow, mrow, rsum, npos, nneg):
+    """[lo, hi] cut to the labels with which every row can still reach 0.
+
+    Row r of prow, with p open + entries and m open - entries after the
+    vertex, each in [a, b], can reach 0 only when
+    m*a - p*b <= rsum[r] + lab <= m*b - p*a; a row of mrow is the same
+    with -lab.  The result is empty, lo > hi, when no label passes.
+    """
     for r in prow:
         p = npos[r] - 1
         m = nneg[r]
@@ -296,5 +285,4 @@ def _row_window(labels, used, prow, mrow, rsum, npos, nneg):
         x = s + p * b - m * a
         if x < hi:
             hi = x
-    extremes = a, labels[j if j < n else i], b, labels[h if h >= 0 else k]
-    return extremes, bisect_left(labels, lo, i, k + 1), bisect_right(labels, hi, i, k + 1)
+    return lo, hi

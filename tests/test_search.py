@@ -282,6 +282,62 @@ class TestListKernel:
         assert out == [1, 2, 4, 3, 1, 3, 4, 2, 2, 1, 3, 4]
 
 
+class TestRowWindow:
+    """The scan window is the whole extra-row check at a vertex."""
+
+    @staticmethod
+    def admits(labels, used, lab, prow, mrow, rsum, npos, nneg):
+        # every row can still reach 0 with its open entries between the
+        # smallest and the largest unused label other than lab
+        others = [x for x, u in zip(labels, used) if not u and x != lab]
+        a, b = min(others, default=0), max(others, default=0)
+        for rows, sign in ((prow, 1), (mrow, -1)):
+            for r in rows:
+                s = rsum[r] + sign * lab
+                p = npos[r] - (sign > 0)
+                m = nneg[r] - (sign < 0)
+                if not s + p * a - m * b <= 0 <= s + p * b - m * a:
+                    return False
+        return True
+
+    def test_window_holds_exactly_the_admitted_labels(self):
+        rng = random.Random(1)
+        lone = closed = 0
+        for _ in range(20_000):
+            n = rng.randint(1, 8)
+            labels = sorted(rng.sample(range(1, 3 * n + 1), n))
+            free = rng.sample(range(n), rng.randint(1, n))
+            used = [i not in free for i in range(n)]
+            taken = [x for x, u in zip(labels, used) if u]
+            prow, mrow, rsum, npos, nneg = [], [], [], [], []
+            for r in range(rng.randint(1, 3)):
+                # the vertex enters row r with sign +1 or -1 and leaves p + m
+                # open entries, at most one per other unused label; the row's
+                # assigned entries are used labels with either sign
+                sign = rng.choice((1, -1))
+                p = rng.randint(0, len(free) - 1)
+                m = rng.randint(0, len(free) - 1 - p)
+                closed += p + m == 0
+                assigned = rng.sample(taken, rng.randint(0, len(taken)))
+                rsum.append(sum(rng.choice((1, -1)) * x for x in assigned))
+                (prow if sign > 0 else mrow).append(r)
+                npos.append(p + (sign > 0))
+                nneg.append(m + (sign < 0))
+            lone += len(free) == 1
+            # half the time the twin order starts the scan later
+            first = rng.randint(0, n) if rng.random() < 0.5 else 0
+            rows = prow, mrow, rsum, npos, nneg
+            start, stop = _kernels._row_window(labels, used, first, *rows)
+            assert start >= first
+            window = [x for i, x in enumerate(labels[start:stop], start) if not used[i]]
+            admitted = [
+                x for i, x in enumerate(labels[first:], first)
+                if not used[i] and self.admits(labels, used, x, *rows)
+            ]
+            assert window == admitted, (labels, used, first, rows)
+        assert lone and closed
+
+
 class TestNaiveOracleAgreement:
     CASES = [
         (build_cycle(4), (1, 2, 3, 4)),
@@ -539,17 +595,17 @@ class TestFirstHitEquivalence:
     # exact node counts: the search succeeds at the pinned budget, not one below
     def test_h26_exact_inside_node_budget(self):
         g = build_multipartite(2, 6)
-        res = compute_index(g, SearchConfig(node_limit=533))
+        res = compute_index(g, SearchConfig(node_limit=517))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7)
-        assert compute_index(g, SearchConfig(node_limit=532)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=516)).kind == "indeterminate"
 
     def test_h34_exact_inside_node_budget(self):
         g = build_multipartite(3, 4)
-        res = compute_index(g, SearchConfig(node_limit=1_449))
+        res = compute_index(g, SearchConfig(node_limit=1_405))
         assert res.kind == "finite" and res.theta == 1
         assert res.witness.labels == (1, 6, 13, 2, 8, 10, 3, 5, 12, 4, 7, 9)
-        assert compute_index(g, SearchConfig(node_limit=1_448)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=1_404)).kind == "indeterminate"
 
     def test_irregular_exact_inside_node_budget(self):
         # G10 is irregular, and N(9) is inside N(8): their difference row
@@ -560,25 +616,25 @@ class TestFirstHitEquivalence:
 
     def test_prism_k2_exact_inside_node_budget(self):
         g = blowup(PRISM, 2)
-        res = compute_index(g, SearchConfig(node_limit=2_645))
+        res = compute_index(g, SearchConfig(node_limit=1_871))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 4, 5, 8, 9, 12, 2, 3, 6, 7, 10, 11)
-        assert compute_index(g, SearchConfig(node_limit=2_644)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=1_870)).kind == "indeterminate"
 
     def test_h43_exact_inside_node_budget(self):
         g = build_multipartite(4, 3)
-        res = compute_index(g, SearchConfig(node_limit=890))
+        res = compute_index(g, SearchConfig(node_limit=870))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 2, 11, 12, 3, 4, 9, 10, 5, 6, 7, 8)
-        assert compute_index(g, SearchConfig(node_limit=889)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=869)).kind == "indeterminate"
 
     def test_c6k2_exact_inside_node_budget(self):
         g = blowup(build_cycle(6), 2)
         values = tuple(range(1, 13))
-        hit = find_labeling(g, values, SearchConfig(node_limit=2_339))
+        hit = find_labeling(g, values, SearchConfig(node_limit=2_272))
         assert hit is not None and hit == find_labeling(g, values)
         with pytest.raises(SearchBudgetExceeded):
-            find_labeling(g, values, SearchConfig(node_limit=2_338))
+            find_labeling(g, values, SearchConfig(node_limit=2_271))
 
 
 class TestComputeIndex:
