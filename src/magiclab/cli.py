@@ -156,16 +156,13 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _build_rect(args: argparse.Namespace) -> list[rectangles.Rectangle]:
     case = args.case
-    if case in ("1", "2"):
-        if args.m is None:
-            raise ValueError(f"--case {case} requires --m")
-        _check_size((6 if case == "1" else 10) * args.m)
-        return [rectangles.case1(args.m) if case == "1" else rectangles.case2(args.m)]
-    if case == "3":
-        if args.n is None or args.m is None:
-            raise ValueError("--case 3 requires --n and --m")
-        _check_size(2 * args.n * args.m)
-        return [rectangles.case3(args.n, args.m)]
+    if case in ("1", "2", "3"):
+        n = {"1": 3, "2": 5}.get(case, args.n)
+        if n is None or args.m is None:
+            need = "--n and --m" if case == "3" else "--m"
+            raise ValueError(f"--case {case} requires {need}")
+        _check_size(2 * n * args.m)
+        return [rectangles.case3(n, args.m)]
     if case in ("even", "odd"):
         if args.n is None or args.p is None:
             raise ValueError(f"--case {case} requires --n and --p")

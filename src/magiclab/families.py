@@ -387,9 +387,11 @@ def eit_feasible(n_teams: int, r: int) -> EitVerdict:
     """Decide EIT(n, r): n teams, each playing r opponents, equal strengths.
 
     Equivalent to a distance magic labeling of an r-regular graph of order
-    n.  For even n the characterization is complete: 2 <= r <= n-2, r even,
-    and n = 0 (mod 4) or n = r+2 = 2 (mod 4).  Odd rounds are always
-    infeasible; odd n with even rounds is outside the cited results.
+    n.  Odd rounds are always infeasible.  Every n needs 2 <= r <= n-2: no
+    simple graph is r-regular for r >= n, and K_n (r = n-1) has the
+    distinct weights T - f(v).  In that range the characterization is
+    complete for even n: n = 0 (mod 4), or n = 2 (mod 4) with r = 0
+    (mod 4).  Odd n with even rounds in range is outside the cited results.
     """
     if n_teams < 2:
         raise HypothesisError(f"requires at least 2 teams, got {n_teams}")
@@ -400,16 +402,16 @@ def eit_feasible(n_teams: int, r: int) -> EitVerdict:
             n_teams, r, False,
             "odd rounds: no odd-regular graph admits a distance magic labeling",
         )
+    if not 2 <= r <= n_teams - 2:
+        return EitVerdict(
+            n_teams, r, False,
+            f"rounds must satisfy 2 <= r <= n-2 = {n_teams - 2}",
+        )
     if n_teams % 2 == 1:
         return EitVerdict(
             n_teams, r, None,
             "odd team count with even rounds is not decided by the "
             "implemented characterization",
-        )
-    if not 2 <= r <= n_teams - 2:
-        return EitVerdict(
-            n_teams, r, False,
-            f"rounds must satisfy 2 <= r <= n-2 = {n_teams - 2}",
         )
     if n_teams % 4 == 0:
         return EitVerdict(n_teams, r, True, "n = 0 (mod 4) with even rounds in range")

@@ -277,6 +277,8 @@ def constant_bounds(n: int, r: int) -> tuple[Fraction, Fraction]:
     Substituting the extreme deleted labels a = n and a = 1 into the forced
     constant gives (nr+r)/2 + r/n <= c <= (nr+3r)/2.
     """
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"degree must be >= 1, got {r}")
     lower = Fraction(n * r + r, 2) + Fraction(r, n)

@@ -5,7 +5,7 @@ the same value b labels the parts (or blow-up fibers) of a graph so that
 every vertex weight becomes a fixed multiple of b.  Two families live here:
 
 * deleted-label rectangles: entries are {1..np+1} minus one "deleted" label,
-  built by case1/case2/case3 and dispatched by construct_deleted;
+  built for every odd n >= 3 by one rule, case3 (construct_deleted);
 * balanced rectangles: entries are exactly {1..np}, built by balanced_even
   and balanced_odd (the latter via a Kotzig array).
 
@@ -49,8 +49,9 @@ class Rectangle:
 
     entries is a tuple of equal-length row tuples of Python ints.  Any 2-D
     grid of integers is accepted, numpy arrays and numpy ints included;
-    each cell, and each deleted label, goes through operator.index, so a
-    float or other non-integer raises ValueError instead of being truncated.
+    each cell, each deleted label and the label ceiling go through
+    operator.index, so a float or other non-integer raises ValueError
+    instead of being truncated.
 
     When label_ceiling is set, the intended entry pool is {1..label_ceiling}
     minus the labels in `deleted` (an empty tuple means the pool is used in
@@ -68,6 +69,11 @@ class Rectangle:
             raise ValueError("rectangle entries must be a 2-D grid of integers") from None
         if len({len(row) for row in self.entries}) > 1:
             raise ValueError("rectangle rows must all have the same length")
+        if self.label_ceiling is not None:
+            try:
+                self.label_ceiling = operator.index(self.label_ceiling)
+            except TypeError:
+                raise ValueError("label ceiling must be an integer") from None
         if self.deleted is not None:
             try:
                 self.deleted = tuple(map(operator.index, self.deleted))
@@ -151,30 +157,12 @@ def validate(rect: Rectangle) -> RectangleReport:
 
 def case1(m: int) -> Rectangle:
     """3 x 2m rectangle over {1..6m+1} \\ {5m+1}, every column summing to 9m+2."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    cols = []
-    for j in range(1, 2 * m + 1):
-        if j % 2 == 1:
-            cols.append((j, 3 * m - (j - 1) // 2, 6 * m + 1 - (j - 1) // 2))
-        else:
-            cols.append((j, 4 * m - j // 2 + 1, 5 * m - j // 2 + 1))
-    return Rectangle(zip(*cols), label_ceiling=6 * m + 1, deleted=(5 * m + 1,))
+    return case3(3, m)
 
 
 def case2(m: int) -> Rectangle:
     """5 x 2m rectangle over {1..10m+1} \\ {9m+1}, every column summing to 25m+3."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    cols = []
-    for j in range(1, 2 * m + 1):
-        if j % 2 == 1:
-            h = (j - 1) // 2
-            cols.append((j, 3 * m - h, 6 * m - h, 7 * m - h, 9 * m + 2 + h))
-        else:
-            h = j // 2
-            cols.append((j, 4 * m - h + 1, 5 * m - h + 1, 8 * m - h + 1, 8 * m + h))
-    return Rectangle(zip(*cols), label_ceiling=10 * m + 1, deleted=(9 * m + 1,))
+    return case3(5, m)
 
 
 def _case3_doubled(i: int, j: int, n: int, m: int, last_row_fix: bool) -> int:
@@ -203,11 +191,13 @@ def _case3_doubled(i: int, j: int, n: int, m: int, last_row_fix: bool) -> int:
 
 
 def case3(n: int, m: int, *, last_row_fix: bool = True) -> Rectangle:
-    """n x 2m rectangle over {1..2mn+1} \\ {m(2n-1)+1} for odd n >= 7.
+    """n x 2m rectangle over {1..2mn+1} \\ {m(2n-1)+1} for odd n >= 3.
 
-    Entries come from a piecewise formula over the row index (rows 1-4, the
-    interior rows 5..n-1 by residue mod 4, and row n by n mod 4), with a
-    column parity term; every column sums to (n^2 p + n + 1)/2 for p = 2m.
+    Entries come from a piecewise formula over the row index with a column
+    parity term.  Row n takes the last-row formula, chosen by n mod 4; the
+    other rows take the formulas for rows 1-4 as far as n reaches them, and
+    the interior rows 5..n-1 go by residue mod 4.  Every column sums to
+    (n^2 p + n + 1)/2 for p = 2m.
 
     last_row_fix keeps the +1 correction on the row-n formula for
     n = 3 (mod 4).  Disabling it reproduces a known off-by-one variant that
@@ -215,8 +205,8 @@ def case3(n: int, m: int, *, last_row_fix: bool = True) -> Rectangle:
     retained only so regression tests can pin the defect, and it skips the
     construction self-checks below.
     """
-    if n % 2 == 0 or n < 7:
-        raise ValueError(f"n must be odd and >= 7, got {n}")
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     a = [[0] * (2 * m) for _ in range(n)]
@@ -241,23 +231,16 @@ def case3(n: int, m: int, *, last_row_fix: bool = True) -> Rectangle:
 
 
 def construct_deleted(n: int, p: int) -> Rectangle:
-    """Deleted-label rectangle for odd n > 1 and even p > 1.
+    """Deleted-label rectangle for odd n > 1 and even p > 1: case3(n, p/2).
 
-    Dispatches on n to case1/case2/case3 with m = p/2.  Uniformly across the
-    three cases the deleted label is np - p/2 + 1 and every column sums to
+    The deleted label is np - p/2 + 1 and every column sums to
     (n^2 p + n + 1)/2; both facts are asserted here rather than assumed.
     """
     if n % 2 == 0 or n <= 1:
         raise ValueError(f"n must be odd and > 1, got {n}")
     if p % 2 == 1 or p <= 1:
         raise ValueError(f"p must be even and > 1, got {p}")
-    m = p // 2
-    if n == 3:
-        rect = case1(m)
-    elif n == 5:
-        rect = case2(m)
-    else:
-        rect = case3(n, m)
+    rect = case3(n, p // 2)
     # construction self-checks, kept under python -O: a failure is a builder bug
     if rect.deleted != (n * p - p // 2 + 1,):
         raise AssertionError("deleted label drifted")
@@ -430,9 +413,9 @@ def rectangle_to_json(rect: Rectangle) -> dict:
 def rectangle_from_json(doc: dict | str) -> Rectangle:
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict) or "entries" not in doc:
+        raise ValueError('expected a JSON object with an "entries" grid')
     deleted = doc.get("deleted")
-    return Rectangle(
-        doc["entries"],
-        doc.get("label_ceiling"),
-        tuple(deleted) if deleted is not None else None,
-    )
+    if deleted is not None and not isinstance(deleted, list):
+        raise ValueError('"deleted" must be a list of integers or null')
+    return Rectangle(doc["entries"], doc.get("label_ceiling"), deleted)

@@ -253,6 +253,16 @@ class TestRect:
         assert code == 0
         assert "# deleted: 14" in out
 
+    @pytest.mark.parametrize(
+        "case,n,m", [("1", "3", "2"), ("2", "5", "3")], ids=["case1", "case2"]
+    )
+    def test_case3_builds_the_small_cases(self, capsys, case, n, m):
+        code, small = run(capsys, "rect", "--case", case, "--m", m)
+        assert code == 0
+        code, general = run(capsys, "rect", "--case", "3", "--n", n, "--m", m)
+        assert code == 0
+        assert general == small
+
     def test_split_of_wrapping_sums_exits_2(self, capsys, tmp_path):
         # column sums 2^64 and 0: in int64 they would both read 0
         path = tmp_path / "w.csv"
@@ -283,6 +293,12 @@ class TestEit:
     def test_unknown_exits_3(self, capsys):
         code, _ = run(capsys, "eit", "--teams", "7", "--rounds", "2")
         assert code == 3
+
+    @pytest.mark.parametrize("teams,rounds", [("5", "4"), ("7", "6"), ("7", "8"), ("7", "0")])
+    def test_odd_teams_out_of_range_exits_1(self, capsys, teams, rounds):
+        code, out = run(capsys, "eit", "--teams", teams, "--rounds", rounds)
+        assert code == 1
+        assert json.loads(out)["feasible"] is False
 
     def test_schedule_from_graph(self, capsys, k33_file, tmp_path):
         labels_file = tmp_path / "lab.txt"

@@ -501,9 +501,16 @@ class TestEitFeasible:
         assert eit_feasible(8, 8).feasible is False
         assert eit_feasible(8, 0).feasible is False
 
+    @pytest.mark.parametrize("teams,rounds", [(5, 4), (7, 6), (7, 8), (7, 0)])
+    def test_odd_teams_out_of_range(self, teams, rounds):
+        # r = n-1 is K_n, r >= n is no simple graph, and r = 0 is refused
+        v = eit_feasible(teams, rounds)
+        assert v.feasible is False
+        assert "2 <= r <= n-2" in v.reason
+
     def test_odd_teams_even_rounds_undecided(self):
-        v = eit_feasible(7, 2)
-        assert v.feasible is None
+        assert eit_feasible(7, 2).feasible is None
+        assert eit_feasible(9, 4).feasible is None
 
     def test_verdict_json(self):
         doc = eit_feasible(8, 2).to_json_dict()

@@ -298,6 +298,15 @@ class TestConstantBounds:
         # the upper end is the constant at a = 1 whenever that is integral
         assert Fraction(regular_constant(4, 2, 1)) == constant_bounds(4, 2)[1]
 
+    def test_rejects_degree_below_1(self):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            constant_bounds(4, 0)
+
+    def test_rejects_order_below_1(self):
+        # r/n once raised ZeroDivisionError here
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            constant_bounds(0, 2)
+
 
 class TestHnpBounds:
     def test_5_6(self):

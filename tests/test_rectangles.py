@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,7 @@ class TestCase3:
 
     def test_rejects_small_or_even_n(self):
         with pytest.raises(ValueError):
-            case3(5, 1)
+            case3(1, 1)
         with pytest.raises(ValueError):
             case3(8, 1)
 
@@ -158,11 +160,31 @@ class TestConstructDeleted:
             from magiclab.rectangles import Rectangle
             if __debug__:
                 sys.exit("not running under -O")
-            rectangles.case1 = lambda m: {drifted}
+            rectangles.case3 = lambda n, m: {drifted}
             rectangles.construct_deleted(3, 2)
         """)
         assert proc.returncode == 1
         assert f"AssertionError: {message}" in proc.stderr
+
+    def test_rectangles_match_recorded_digests(self):
+        # sha256 digests recorded from the hand-written n = 3 and n = 5
+        # formulas and the odd n >= 7 rule; case3 must rebuild each byte for byte
+        def digest(rects):
+            h = hashlib.sha256()
+            for r in rects:
+                h.update(repr((r.entries, r.deleted, r.label_ceiling)).encode())
+            return h.hexdigest()
+
+        assert digest(case1(m) for m in range(1, 51)) == (
+            "0883c0dc0529654e2fc91d87be4222ff275f5330e47e720e7345193934c1ec21"
+        )
+        assert digest(case2(m) for m in range(1, 51)) == (
+            "8bf6f89f0ebefdca218a23d5c2c70df5e819078f55f690211249b633e63873db"
+        )
+        rects = (construct_deleted(n, p) for n in range(3, 22, 2) for p in range(2, 21, 2))
+        assert digest(rects) == (
+            "c440c903b81dd88a72cd27c4f0484742ce732d72cf9902e5d8da765879a1aff8"
+        )
 
     def test_deleted_label_unified(self):
         for n in (3, 5, 7, 9):
@@ -466,6 +488,39 @@ class TestEntries:
         with pytest.raises(ValueError, match="integers"):
             rectangle_from_json({"entries": [[1, 2]], "label_ceiling": 3, "deleted": [2.9]})
         assert Rectangle(((1, 2),), 3, (np.int64(3),)).deleted == (3,)
+
+    def test_label_ceiling_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="label ceiling"):
+            Rectangle(((1, 2),), label_ceiling="x")
+        with pytest.raises(ValueError, match="label ceiling"):
+            Rectangle(((1, 2),), label_ceiling=3.0)
+        assert Rectangle(((1, 2),), label_ceiling=np.int64(3)).label_ceiling == 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            "[]",
+            [[1, 2]],
+            "not json",
+            {"entries": 5},
+            {"entries": [[1, "a"]]},
+            {"entries": [[1, 2], [3]]},
+            {"entries": [[1, 2]], "deleted": 5},
+            {"entries": [[1, 2]], "deleted": "3"},
+            {"entries": [[1, 2]], "deleted": [None]},
+            {"entries": [[1, 2]], "label_ceiling": "x"},
+            {"entries": [[1, 2]], "label_ceiling": [3]},
+        ],
+        ids=[
+            "empty-object", "json-list", "list", "not-json", "entries-scalar",
+            "string-cell", "ragged", "deleted-scalar", "deleted-string",
+            "deleted-null-label", "ceiling-string", "ceiling-list",
+        ],
+    )
+    def test_malformed_json_is_a_value_error(self, doc):
+        with pytest.raises(ValueError):
+            rectangle_from_json(doc)
 
     def test_shape_is_checked(self):
         with pytest.raises(ValueError, match="2-D"):
