@@ -17,6 +17,7 @@ produce one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, build_cycle, build_multipartite, disjoint_union, regular_degree
@@ -200,7 +201,7 @@ def _some_component_nonsingular(g: Graph) -> bool | None:
 
 def _by_columns(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     """A rectangle's cells column by column: column b labels fiber b."""
-    return [x for col in zip(*entries) for x in col]
+    return list(chain.from_iterable(zip(*entries)))
 
 
 def _blowup(
@@ -416,7 +417,7 @@ def eit_feasible(n_teams: int, r: int) -> EitVerdict:
     if n_teams % 4 == 0:
         return EitVerdict(n_teams, r, True, "n = 0 (mod 4) with even rounds in range")
     if r % 4 == 0:
-        return EitVerdict(n_teams, r, True, "n = r+2 = 2 (mod 4)")
+        return EitVerdict(n_teams, r, True, "n = 2 (mod 4) with r = 0 (mod 4)")
     return EitVerdict(
         n_teams, r, False,
         "rounds = 2 (mod 4) force a team count divisible by 4, "

@@ -7,7 +7,8 @@ be shared freely between verifier calls and parallel test workers.
 from __future__ import annotations
 
 import json
-from itertools import accumulate
+import operator
+from itertools import accumulate, chain
 from typing import Iterable
 
 __all__ = [
@@ -60,6 +61,19 @@ class Graph:
             tuple(sorted(s)) for s in nbrs
         )
 
+    @classmethod
+    def _from_adjacency(cls, nbrs: tuple[tuple[int, ...], ...], name: str) -> Graph:
+        """A graph from neighbour tuples that are already sorted, symmetric and loop-free.
+
+        Only the generators below build graphs this way, with no per-edge
+        check; every graph from outside goes through __init__.
+        """
+        g = object.__new__(cls)
+        g.order = len(nbrs)
+        g.name = name
+        g._nbrs = nbrs
+        return g
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._nbrs[u]
 
@@ -100,29 +114,30 @@ def build_multipartite(n: int, p: int) -> Graph:
     """Complete multipartite graph with p parts of n vertices each.
 
     Vertex v sits in part v // n; two vertices are adjacent iff their parts
-    differ, so the graph is n*(p-1)-regular on n*p vertices.
+    differ, so the graph is n*(p-1)-regular on n*p vertices.  The vertices
+    of one part share one neighbour tuple: every id outside the part.
     """
     if n < 1 or p < 1:
         raise ValueError(f"part size and part count must be >= 1, got ({n},{p})")
-    edges = [
-        (u, v)
-        for u in range(n * p)
-        for v in range(u + 1, n * p)
-        if u // n != v // n
-    ]
-    return Graph(n * p, edges, name=f"H({n},{p})")
+    parts = [tuple(chain(range(k * n), range(k * n + n, n * p))) for k in range(p)]
+    return Graph._from_adjacency(
+        tuple(adj for adj in parts for _ in range(n)), name=f"H({n},{p})"
+    )
 
 
 def empty_graph(n: int) -> Graph:
     """Edgeless graph on n vertices."""
-    return Graph(n, [], name=f"E({n})")
+    if n < 1:
+        raise ValueError(f"graph order must be >= 1, got {n}")
+    return Graph._from_adjacency(((),) * n, name=f"E({n})")
 
 
 def build_cycle(p: int) -> Graph:
     """Cycle on p >= 3 vertices, edges i ~ i+1 mod p."""
     if p < 3:
         raise ValueError(f"cycle length must be >= 3, got {p}")
-    return Graph(p, [(i, (i + 1) % p) for i in range(p)], name=f"C({p})")
+    nbrs = tuple(tuple(sorted(((i - 1) % p, (i + 1) % p))) for i in range(p))
+    return Graph._from_adjacency(nbrs, name=f"C({p})")
 
 
 def build_circulant(p: int, offsets: Iterable[int]) -> Graph:
@@ -131,7 +146,7 @@ def build_circulant(p: int, offsets: Iterable[int]) -> Graph:
     Offsets must be distinct values in 1..p//2.  Degree is 2*len(offsets),
     less one when p is even and p/2 is an offset.
     """
-    offs = list(offsets)
+    offs = list(map(operator.index, offsets))
     if not offs:
         raise ValueError("offsets must be nonempty")
     if len(set(offs)) != len(offs):
@@ -139,23 +154,21 @@ def build_circulant(p: int, offsets: Iterable[int]) -> Graph:
     for d in offs:
         if not (1 <= d <= p // 2):
             raise ValueError(f"offset {d} outside 1..{p // 2}")
-    edges = {
-        (min(i, (i + d) % p), max(i, (i + d) % p)) for i in range(p) for d in offs
-    }
+    steps = set(offs) | {p - d for d in offs}
+    nbrs = tuple(tuple(sorted((i + d) % p for d in steps)) for i in range(p))
     name = f"circ({p};{','.join(str(d) for d in sorted(offs))})"
-    return Graph(p, sorted(edges), name=name)
+    return Graph._from_adjacency(nbrs, name=name)
 
 
 def disjoint_union(g: Graph, m: int) -> Graph:
     """m vertex-disjoint copies of g; copy k occupies ids k*|V| .. (k+1)*|V|-1."""
     if m < 1:
         raise ValueError(f"copy count must be >= 1, got {m}")
-    base = g.edges()
-    edges = [
-        (u + k * g.order, v + k * g.order) for k in range(m) for (u, v) in base
-    ]
+    nbrs = tuple(
+        tuple([v + k * g.order for v in adj]) for k in range(m) for adj in g._nbrs
+    )
     name = g.name if m == 1 else f"{m}*{g.name or 'G'}"
-    return Graph(m * g.order, edges, name=name)
+    return Graph._from_adjacency(nbrs, name=name)
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:
@@ -163,19 +176,18 @@ def lex_product(g: Graph, h: Graph) -> Graph:
 
     (a,b) ~ (a',b') iff a ~ a' in g, or a = a' and b ~ b' in h.  With h
     edgeless this is the blow-up of g; fiber i is the block of ids with
-    first coordinate i.
+    first coordinate i.  Vertex (a, b) sees the whole fibers of a's
+    neighbours below a, then its own fiber's h-neighbours, then the whole
+    fibers above a.
     """
     nh = h.order
-    edges = []
-    for a, b in g.edges():
-        for x in range(nh):
-            for y in range(nh):
-                edges.append((a * nh + x, b * nh + y))
-    for a in range(g.order):
-        for x, y in h.edges():
-            edges.append((a * nh + x, a * nh + y))
+    nbrs = []
+    for a, adj in enumerate(g._nbrs):
+        below = [v for c in adj if c < a for v in range(c * nh, c * nh + nh)]
+        above = [v for c in adj if c > a for v in range(c * nh, c * nh + nh)]
+        nbrs += [tuple(below + [a * nh + y for y in inner] + above) for inner in h._nbrs]
     name = f"{g.name or 'G'}[{h.name or 'H'}]"
-    return Graph(g.order * nh, edges, name=name)
+    return Graph._from_adjacency(tuple(nbrs), name=name)
 
 
 def regular_degree(g: Graph) -> int | None:

@@ -20,6 +20,7 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 __all__ = [
@@ -90,7 +91,7 @@ class Rectangle:
 
     def cells(self) -> Iterable[int]:
         """Every entry, row by row."""
-        return (x for row in self.entries for x in row)
+        return chain.from_iterable(self.entries)
 
     def entry_set(self) -> set[int]:
         return set(self.cells())
@@ -199,6 +200,12 @@ def case3(n: int, m: int, *, last_row_fix: bool = True) -> Rectangle:
     the interior rows 5..n-1 go by residue mod 4.  Every column sums to
     (n^2 p + n + 1)/2 for p = 2m.
 
+    Every formula is linear in the column index j with one slope per row,
+    so a row is two arithmetic progressions, over its odd and its even
+    columns, each stepping by twice that slope in doubled units.  The step
+    is even, so the first doubled value of a progression decides whether
+    every cell of it is an integer.
+
     last_row_fix keeps the +1 correction on the row-n formula for
     n = 3 (mod 4).  Disabling it reproduces a known off-by-one variant that
     duplicates a label and shifts the affected column sums; that variant is
@@ -209,20 +216,24 @@ def case3(n: int, m: int, *, last_row_fix: bool = True) -> Rectangle:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = [[0] * (2 * m) for _ in range(n)]
+    a = []
     for i in range(1, n + 1):
-        for j in range(1, 2 * m + 1):
-            d = _case3_doubled(i, j, n, m, last_row_fix)
+        row = [0] * (2 * m)
+        first, second, third = [_case3_doubled(i, j, n, m, last_row_fix) for j in (1, 2, 3)]
+        step = (third - first) // 2
+        for j, d in ((1, first), (2, second)):
             if d % 2 != 0:
                 raise AssertionError(
                     f"non-integer entry at (i={i}, j={j}, n={n}, m={m}): {d}/2"
                 )
-            a[i - 1][j - 1] = d // 2
+            row[j - 1 :: 2] = range(d // 2, d // 2 + step * m, step)
+        a.append(row)
     deleted = m * (2 * n - 1) + 1
     rect = Rectangle(a, label_ceiling=2 * m * n + 1, deleted=(deleted,))
     if last_row_fix:
         # construction self-check: a failure here is a builder bug
-        expected = set(range(1, 2 * m * n + 2)) - {deleted}
+        expected = set(range(1, 2 * m * n + 2))
+        expected.remove(deleted)
         if rect.entry_set() != expected:
             raise AssertionError(
                 f"case3({n},{m}) does not cover its label pool"
@@ -411,11 +422,20 @@ def rectangle_to_json(rect: Rectangle) -> dict:
 
 
 def rectangle_from_json(doc: dict | str) -> Rectangle:
+    """Rectangle from a rectangle_to_json document; "entries" must hold at least one row."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError('expected a JSON object with an "entries" grid')
+    entries = doc["entries"]
+    if not (
+        isinstance(entries, list) and entries
+        and all(isinstance(row, list) and row for row in entries)
+    ):
+        raise ValueError(
+            'no matrix rows found: "entries" must be a non-empty list of non-empty lists'
+        )
     deleted = doc.get("deleted")
     if deleted is not None and not isinstance(deleted, list):
         raise ValueError('"deleted" must be a list of integers or null')
-    return Rectangle(doc["entries"], doc.get("label_ceiling"), deleted)
+    return Rectangle(entries, doc.get("label_ceiling"), deleted)

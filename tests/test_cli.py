@@ -294,6 +294,13 @@ class TestEit:
         code, _ = run(capsys, "eit", "--teams", "7", "--rounds", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("teams", ["6", "10"])
+    def test_two_mod_four_teams_with_rounds_zero_mod_four(self, capsys, teams):
+        code, out = run(capsys, "eit", "--teams", teams, "--rounds", "4")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["feasible"], doc["reason"]) == (True, "n = 2 (mod 4) with r = 0 (mod 4)")
+
     @pytest.mark.parametrize("teams,rounds", [("5", "4"), ("7", "6"), ("7", "8"), ("7", "0")])
     def test_odd_teams_out_of_range_exits_1(self, capsys, teams, rounds):
         code, out = run(capsys, "eit", "--teams", teams, "--rounds", rounds)

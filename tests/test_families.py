@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -467,15 +469,86 @@ class TestNoBlowupBuilt:
 
     @staticmethod
     def _spy(monkeypatch) -> list[int]:
+        # the order of every graph built, validated or by a generator
         orders: list[int] = []
         init = Graph.__init__
+        from_adjacency = Graph._from_adjacency
 
         def counting_init(self, order, *args, **kwargs):
             orders.append(order)
             init(self, order, *args, **kwargs)
 
+        def counting_from_adjacency(nbrs, name):
+            orders.append(len(nbrs))
+            return from_adjacency(nbrs, name)
+
         monkeypatch.setattr(Graph, "__init__", counting_init)
+        monkeypatch.setattr(Graph, "_from_adjacency", staticmethod(counting_from_adjacency))
         return orders
+
+
+# the closed_form instances of perfbench/corpus.py, as (dispatcher, args)
+BENCHMARK_INSTANCES = [
+    (theta_hnp, (20, 30)),
+    (theta_hnp, (15, 31)),
+    (theta_hnp, (21, 40)),
+    (theta_hnp, (25, 60)),
+    (theta_m_hnp, (4, 10, 12)),
+    (theta_m_hnp, (3, 11, 15)),
+    (theta_m_hnp, (2, 15, 20)),
+    (theta_m_cycle_lex, (2, 6, 50)),
+    (theta_m_cycle_lex, (1, 8, 61)),
+    (theta_m_cycle_lex, (2, 5, 51)),
+    (theta_lex_blowup, (build_circulant(10, (1, 2, 3)), 50)),
+    (theta_lex_blowup, (build_circulant(11, (1, 2)), 45)),
+    (theta_lex_blowup, (build_circulant(10, (1, 5)), 51)),
+    (theta_lex_blowup, (build_circulant(14, (1, 3, 5)), 35)),
+    (theta_lex_blowup, (build_circulant(12, (1, 2)), 41)),
+]
+
+
+class TestRecordedAnswers:
+    """Closed-form answers pinned byte for byte by the sha256 of their JSON."""
+
+    @staticmethod
+    def digest(calls) -> str:
+        h = hashlib.sha256()
+        for func, args in calls:
+            h.update(json.dumps(func(*args).to_json_dict()).encode() + b"\n")
+        return h.hexdigest()
+
+    def test_small_grid_matches_recorded_digest(self):
+        # recorded from per-edge generators and a per-cell case3
+        bases = [build_cycle(p) for p in range(3, 9)] + [
+            build_circulant(6, (1, 3)),
+            build_circulant(8, (1, 4)),
+            build_circulant(9, (2, 3)),
+            build_circulant(10, (1, 2, 3)),
+            build_circulant(12, (1, 2)),
+            build_multipartite(2, 3),
+            disjoint_union(build_cycle(3), 2),
+            lex_product(build_cycle(4), empty_graph(2)),
+            PRISM,
+            empty_graph(4),
+        ]
+        calls = [(theta_hnp, (n, p)) for n in range(2, 10) for p in range(2, 10)]
+        calls += [
+            (theta_m_hnp, (m, n, p))
+            for m in range(1, 4) for n in range(2, 7) for p in range(2, 7)
+        ]
+        calls += [
+            (theta_m_cycle_lex, (m, p, n))
+            for m in range(1, 4) for p in range(3, 11) for n in range(2, 7)
+        ]
+        calls += [(theta_lex_blowup, (g, n)) for g in bases for n in range(2, 6)]
+        assert self.digest(calls) == (
+            "b133e5e2974e1a12dc55e2808083243eb1b2625745a3438ab8b091037b754685"
+        )
+
+    def test_benchmark_instances_match_recorded_digest(self):
+        assert self.digest(BENCHMARK_INSTANCES) == (
+            "698ce6978290a98e996107c478f740b85aedbc20a4139576cfa1938bac2e3763"
+        )
 
 
 class TestEitFeasible:
@@ -496,6 +569,11 @@ class TestEitFeasible:
     def test_6_4(self):
         # n = r + 2 = 2 (mod 4)
         assert eit_feasible(6, 4).feasible is True
+
+    @pytest.mark.parametrize("teams", [6, 10])
+    def test_two_mod_four_teams_with_rounds_zero_mod_four(self, teams):
+        v = eit_feasible(teams, 4)
+        assert (v.feasible, v.reason) == (True, "n = 2 (mod 4) with r = 0 (mod 4)")
 
     def test_out_of_range(self):
         assert eit_feasible(8, 8).feasible is False

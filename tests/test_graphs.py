@@ -85,6 +85,11 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_circulant(6, [1, 1])
 
+    def test_circulant_rejects_non_integer_offsets(self):
+        # the generator checks no edge, so a float offset would become float ids
+        with pytest.raises(TypeError):
+            build_circulant(6, [1.0])
+
     def test_disjoint_union(self):
         g = disjoint_union(build_cycle(3), 2)
         assert g.order == 6
@@ -125,6 +130,84 @@ class TestLexProduct:
         # g[h] keeps h-edges inside each fiber
         got = lex_product(build_multipartite(1, 2), build_multipartite(1, 2))
         assert got == build_multipartite(1, 4)
+
+
+PATH3 = Graph(3, [(0, 1), (1, 2)], "P3")
+
+
+def _pair(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _reference(kind, *args):
+    """(generated graph, its edges from the definition, pair by pair)."""
+    if kind == "H":
+        n, p = args
+        edges = {(u, v) for u in range(n * p) for v in range(u + 1, n * p) if u // n != v // n}
+        return build_multipartite(n, p), n * p, edges
+    if kind == "C":
+        (p,) = args
+        return build_cycle(p), p, {_pair(i, (i + 1) % p) for i in range(p)}
+    if kind == "circ":
+        p, offs = args
+        edges = {_pair(i, (i + d) % p) for i in range(p) for d in offs}
+        return build_circulant(p, offs), p, edges
+    if kind == "E":
+        (n,) = args
+        return empty_graph(n), n, set()
+    if kind == "union":
+        g, m = args
+        k = g.order
+        edges = {(u + c * k, v + c * k) for c in range(m) for u, v in g.edges()}
+        return disjoint_union(g, m), m * k, edges
+    g, h = args
+    k = h.order
+    edges = {_pair(a * k + x, b * k + y) for a, b in g.edges() for x in range(k) for y in range(k)}
+    edges |= {(a * k + x, a * k + y) for a in range(g.order) for x, y in h.edges()}
+    return lex_product(g, h), g.order * k, edges
+
+
+GENERATED = (
+    [("H", n, p) for n in range(1, 7) for p in range(1, 7)]
+    + [("C", p) for p in range(3, 13)]
+    + [
+        ("circ", p, offs)
+        for p, offs in [
+            (2, (1,)), (6, (1, 3)), (8, (1, 4)), (8, (2, 4)), (9, (2, 3)),
+            (10, (1, 2, 3)), (12, (1, 2)), (12, (6,)), (14, (1, 3, 5)),
+        ]
+    ]
+    + [("E", n) for n in (1, 2, 5)]
+    + [
+        ("union", g, m)
+        for g in (build_cycle(3), build_multipartite(2, 3), empty_graph(2), PATH3)
+        for m in (1, 2, 3)
+    ]
+    + [
+        ("lex", g, h)
+        for g in (build_cycle(4), PATH3, build_circulant(6, (1, 3)))
+        for h in (empty_graph(1), empty_graph(3), build_cycle(3), PATH3)
+    ]
+)
+
+
+class TestGeneratorAdjacency:
+    """Generators build adjacency directly; it must match the validated path."""
+
+    @pytest.mark.parametrize(
+        "case",
+        GENERATED,
+        ids=lambda c: "-".join(x.name if isinstance(x, Graph) else str(x) for x in c),
+    )
+    def test_matches_validated_graph(self, case):
+        g, order, edges = _reference(*case)
+        assert g == Graph(g.order, g.edges())
+        assert g == Graph(order, sorted(edges))
+        for u in range(g.order):
+            adj = g.neighbors(u)
+            assert list(adj) == sorted(set(adj))
+            assert u not in adj
+            assert all(type(v) is int and u in g.neighbors(v) for v in adj)
 
 
 class TestInvariants:

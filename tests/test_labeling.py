@@ -197,6 +197,59 @@ class TestVerifyBlowup:
         assert not report.is_magic
         assert report.weights == (7, 7, 7, 2**64 + 7, 2**64 + 7, 2**64 + 7)
 
+    @pytest.mark.parametrize(
+        "base,n,labels,report",
+        [
+            (build_cycle(4), 1, [1, 1, 1, 1], {
+                "is_magic": False, "is_distance_magic": False, "constant": None,
+                "weights": [2, 2, 2, 2], "violations": ["label 1 assigned to 4 vertices"],
+            }),
+            (build_cycle(4), 1, [-1, 2, 3, 0], {
+                "is_magic": False, "is_distance_magic": False, "constant": None,
+                "weights": [2, 2, 2, 2], "violations": ["non-positive label"],
+            }),
+            (build_cycle(8), 1, [1, 2, 3, 4, 5, 6, 7, 8], {
+                "is_magic": False, "is_distance_magic": False, "constant": None,
+                "weights": [10, 4, 6, 8, 10, 12, 14, 8],
+                "violations": [
+                    "w(0)=10 != w(1)=4", "w(0)=10 != w(2)=6", "w(0)=10 != w(3)=8",
+                    "w(0)=10 != w(5)=12", "w(0)=10 != w(6)=14",
+                ],
+            }),
+            (build_cycle(5), 1, [0, 0, 3, 3, 7], {
+                "is_magic": False, "is_distance_magic": False, "constant": None,
+                "weights": [7, 3, 3, 10, 3],
+                "violations": [
+                    "non-positive label", "label 0 assigned to 2 vertices",
+                    "label 3 assigned to 2 vertices", "w(0)=7 != w(1)=3",
+                    "w(0)=7 != w(2)=3", "w(0)=7 != w(3)=10", "w(0)=7 != w(4)=3",
+                ],
+            }),
+            (build_cycle(4), 1, [1, 2, 6, 5], {
+                "is_magic": True, "is_distance_magic": False, "constant": 7,
+                "weights": [7, 7, 7, 7], "violations": [],
+            }),
+            (build_multipartite(1, 2), 3, [1, 5, 7, 2, 3, 8], {
+                "is_magic": True, "is_distance_magic": False, "constant": 13,
+                "weights": [13] * 6, "violations": [],
+            }),
+            (build_cycle(3), 2, [1, 6, 2, 5, 3, 4], {
+                "is_magic": True, "is_distance_magic": True, "constant": 14,
+                "weights": [14] * 6, "violations": [],
+            }),
+        ],
+        ids=[
+            "duplicate", "non-positive", "unequal-weights", "every-fault",
+            "magic-not-distance-magic", "blowup-magic-not-distance-magic",
+            "blowup-distance-magic",
+        ],
+    )
+    def test_report_fixtures(self, base, n, labels, report):
+        # both verifiers, field for field
+        built = lex_product(base, empty_graph(n))
+        assert verify_s_magic(built, labels).to_json_dict() == report
+        assert verify_blowup(base, n, labels).to_json_dict() == report
+
     def test_bad_input_raises(self):
         with pytest.raises(ValueError):
             verify_blowup(build_cycle(4), 2, [1, 2, 3])

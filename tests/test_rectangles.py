@@ -522,6 +522,14 @@ class TestEntries:
         with pytest.raises(ValueError):
             rectangle_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "entries", [{}, "", [], [[]]], ids=["object", "string", "no-rows", "empty-row"]
+    )
+    def test_json_grid_without_rows_is_refused(self, entries):
+        # as rectangle_from_csv refuses a file with no rows
+        with pytest.raises(ValueError, match="no matrix rows found"):
+            rectangle_from_json({"entries": entries})
+
     def test_shape_is_checked(self):
         with pytest.raises(ValueError, match="2-D"):
             Rectangle([1, 2, 3])
