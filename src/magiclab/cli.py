@@ -7,6 +7,11 @@ and schedules).  JSON is the machine interface; tables are for humans.
 Exit codes: 0 success / magic / feasible, 1 verified-not-magic or
 infeasible, 2 usage, parse, or hypothesis errors, 3 indeterminate outcomes
 (unknown at cap, exhausted budget, undecided feasibility).
+
+Each subcommand imports what it uses when it runs, so a process loads only
+that: `verify` loads `graphs` and `labeling`, `rect` `graphs` and
+`rectangles`, `construct` and `eit` `families` and the modules it imports.
+Only `index`, and `eit --graph` without --labels, load the search kernel.
 """
 
 from __future__ import annotations
@@ -15,11 +20,13 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import families, rectangles, search
 from .graphs import MAX_INPUT_ORDER, Graph, graph_from_json, parse_edge_list, regular_degree
-from .labeling import Labeling, labeling_from_json, verify_s_magic
+
+if TYPE_CHECKING:
+    from . import families, rectangles, search
+    from .labeling import Labeling
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -29,7 +36,8 @@ EXIT_INDETERMINATE = 3
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
@@ -46,6 +54,8 @@ def _load_graph(path: str, one_indexed: bool) -> Graph:
 
 
 def _load_labeling(path: str) -> Labeling:
+    from .labeling import Labeling, labeling_from_json
+
     text = _read_text(path)
     stripped = text.lstrip()
     try:
@@ -89,6 +99,8 @@ def _default_budget_ms() -> float | None:
 
 
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
+    from . import search
+
     budget_ms = args.budget_ms if args.budget_ms is not None else _default_budget_ms()
     return search.SearchConfig(
         theta_cap=args.cap,
@@ -102,6 +114,8 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from . import families
+
     if args.family != "lex":
         _check_size(args.n * args.p * (1 if args.family == "hnp" else args.m))
     if args.family == "hnp":
@@ -140,6 +154,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .labeling import verify_s_magic
+
     graph = _load_graph(args.graph, args.one_indexed)
     labeling = _load_labeling(args.labels)
     report = verify_s_magic(graph, labeling)
@@ -148,6 +164,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
+    from . import search
+
     graph = _load_graph(args.graph, args.one_indexed)
     result = search.compute_index(graph, _search_config(args))
     _print_json(result.to_json_dict())
@@ -155,6 +173,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _build_rect(args: argparse.Namespace) -> list[rectangles.Rectangle]:
+    from . import rectangles
+
     case = args.case
     if case in ("1", "2", "3"):
         n = {"1": 3, "2": 5}.get(case, args.n)
@@ -182,6 +202,8 @@ def _build_rect(args: argparse.Namespace) -> list[rectangles.Rectangle]:
 
 
 def _cmd_rect(args: argparse.Namespace) -> int:
+    from . import rectangles
+
     rects = _build_rect(args)
     if args.out == "json":
         docs = [rectangles.rectangle_to_json(r) for r in rects]
@@ -196,6 +218,9 @@ def _cmd_rect(args: argparse.Namespace) -> int:
 
 
 def _cmd_eit(args: argparse.Namespace) -> int:
+    from . import families
+    from .labeling import verify_s_magic
+
     if args.graph:
         graph = _load_graph(args.graph, args.one_indexed)
         if graph.order != args.teams:
@@ -214,6 +239,8 @@ def _cmd_eit(args: argparse.Namespace) -> int:
         if args.labels:
             labeling = _load_labeling(args.labels)
         else:
+            from . import search
+
             result = search.compute_index(graph, _search_config(args))
             if result.witness is None:
                 _print_json(result.to_json_dict())

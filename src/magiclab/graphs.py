@@ -217,12 +217,21 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
     An order above MAX_INPUT_ORDER is rejected before any vertex is
     allocated.
 
-    The scan keeps no record of the edges it has seen, and the split lines
-    are gone before Graph is built: Graph finds a duplicate, and only then
-    is the text split again to name both of its lines.  A fault on line L
-    likewise rescans the lines before L for an earlier duplicate.
+    A plain text, a header and then one edge per line in ASCII digits, is
+    read in bulk by _read_plain.  Any other text, and any plain text with a
+    fault, is read by _read_lines, whose line scan _scan_edge_list names the
+    fault.  That scan keeps no record of the edges it has seen, and the
+    split lines are gone before Graph is built: Graph finds a duplicate, and
+    only then is the text split again to name both of its lines.  A fault on
+    line L likewise rescans the lines before L for an earlier duplicate.
     """
     base = 1 if one_indexed else 0
+    graph = _read_plain(text, base)
+    return graph if graph is not None else _read_lines(text, base)
+
+
+def _read_lines(text: str, base: int) -> Graph:
+    """The graph of any edge-list text, read line by line; raises on its first fault."""
     try:
         return Graph(*_scan_edge_list(text.splitlines(), base))
     except ValueError as exc:
@@ -231,6 +240,50 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
         stop = exc.line - 1 if isinstance(exc, EdgeListParseError) else None
         _raise_duplicate_edge(text.splitlines()[:stop], base)
         raise
+
+
+# every ASCII digit, to be deleted by str.translate
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _read_plain(text: str, base: int) -> Graph | None:
+    r"""The graph of a plain edge list, or None when the text is not plain or has a fault.
+
+    Plain is "n <order>", then "u v" lines, every id ASCII digits and every
+    separator one space or one newline; the last newline may be missing.
+    With the digits deleted such a text is "n \n" and then " \n" once per
+    edge, which one comparison checks.  The text is split once, each
+    distinct token is converted once, and the adjacency is built from one
+    flat list of ids.  An order or id out of range, a self-loop and a
+    duplicate edge all return None, so that the line scan raises.
+    """
+    tokens = text.split()
+    edges = len(tokens) // 2 - 1
+    if edges < 0 or len(tokens) % 2 or tokens[0] != "n":
+        return None
+    layout = "n \n" + " \n" * edges
+    if text.translate(_NO_DIGITS) != (layout if text.endswith("\n") else layout[:-1]):
+        return None
+    body = tokens[2:]
+    try:
+        order = int(tokens[1])
+        ids = {tok: int(tok) - base for tok in set(body)}
+    except ValueError:  # more digits than int() converts
+        return None
+    if not 1 <= order <= MAX_INPUT_ORDER or not all(0 <= v < order for v in ids.values()):
+        return None
+    flat = list(map(ids.__getitem__, body))
+    nbrs: list[list[int]] = [[] for _ in range(order)]
+    for u, v in zip(flat[0::2], flat[1::2]):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adj = []
+    for vs in nbrs:
+        distinct = set(vs)
+        if len(distinct) != len(vs):  # a repeated edge; a self-loop lists its vertex twice
+            return None
+        adj.append(tuple(sorted(distinct)))
+    return Graph._from_adjacency(tuple(adj), name="")
 
 
 def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, int]]]:
@@ -255,9 +308,13 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
                 raise EdgeListParseError("repeated header", lineno)
             if edges:
                 raise EdgeListParseError("header must precede edges", lineno)
-            if len(tok) != 2 or not tok[1].lstrip("-").isdigit():
-                raise EdgeListParseError(f"bad header {_content(raw)!r}", lineno)
-            order = int(tok[1])
+            try:
+                # isdigit admits tokens that int() refuses, such as "--5" and "²"
+                if len(tok) != 2 or not tok[1].lstrip("-").isdigit():
+                    raise ValueError
+                order = int(tok[1])
+            except ValueError:
+                raise EdgeListParseError(f"bad header {_content(raw)!r}", lineno) from None
             if order < 1:
                 raise EdgeListParseError(f"order must be >= 1, got {order}", lineno)
             if order > MAX_INPUT_ORDER:

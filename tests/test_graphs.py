@@ -18,6 +18,7 @@ from magiclab.graphs import (
     parse_edge_list,
     regular_degree,
 )
+from magiclab.graphs import _read_lines, _read_plain
 
 
 def assert_symmetric(g: Graph):
@@ -319,6 +320,10 @@ PARSE_ERRORS = [
     ("0 1\n-1 2", False, 2, "line 2: vertex id below 0 in '-1 2'"),
     ("1 2\n0 2", True, 2, "line 2: vertex id below 1 in '0 2'"),
     ("n x", False, 1, "line 1: bad header 'n x'"),
+    # each passes the header's isdigit check, and int() refuses it
+    ("n --5\n0 1", False, 1, "line 1: bad header 'n --5'"),
+    ("n ²", False, 1, "line 1: bad header 'n ²'"),
+    ("n " + "9" * 5000, False, 1, f"line 1: bad header 'n {'9' * 5000}'"),  # past int()'s digit limit
     ("  n   x  # note", False, 1, "line 1: bad header 'n   x'"),
     ("n 2 3", False, 1, "line 1: bad header 'n 2 3'"),
     ("n 0", False, 1, "line 1: order must be >= 1, got 0"),
@@ -345,6 +350,109 @@ class TestEdgeListErrors:
             parse_edge_list(text, one_indexed=one_indexed)
         assert str(exc.value) == message
         assert exc.value.line == line
+
+
+# tokens that are not ASCII-digit ids: some int() reads, some it refuses
+ODD_TOKENS = ["x", "-1", "+1", "1_0", "0x1", "²", "١", "３", "1.0"]
+
+
+EDITS = [
+    "duplicate", "self-loop", "out of range", "odd token", "leading zero", "three ids",
+    "bad header", "no header", "comment", "blank line", "tab", "double space", "crlf",
+    "no final newline",
+]
+
+
+@st.composite
+def edge_list_texts(draw) -> tuple[str, bool]:
+    """(text, one_indexed): a simple graph written out plainly, then up to three edits.
+
+    Each line is [tokens, separator, line end]; the edits add faults
+    (duplicates, self-loops, bad ids and headers) and layouts that are not
+    plain (comments, blank lines, tabs, CRLF, no header).
+    """
+    order = draw(st.integers(min_value=1, max_value=7))
+    base = draw(st.integers(min_value=0, max_value=1))
+    pairs = [(u, v) for u in range(order) for v in range(order) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=frozenset)) if pairs else []
+    lines = [[["n", str(order)], " ", "\n"]]
+    lines += [[[str(u + base), str(v + base)], " ", "\n"] for u, v in edges]
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        line = lines[at % len(lines)] if lines else [[], " ", "\n"]
+        if edit == "duplicate" and len(lines) > 1:
+            tokens = draw(st.sampled_from(lines))[0]
+            lines.insert(at, [tokens[:: draw(st.sampled_from([1, -1]))], " ", "\n"])
+        elif edit == "self-loop":
+            lines.insert(at, [[str(draw(st.integers(min_value=0, max_value=order)))] * 2, " ", "\n"])
+        elif edit == "out of range":
+            bad = draw(st.sampled_from([order + base, base - 1, MAX_INPUT_ORDER]))
+            lines.insert(at, [[str(base), str(bad)], " ", "\n"])
+        elif edit == "odd token" and line[0]:
+            line[0][-1] = draw(st.sampled_from(ODD_TOKENS))
+        elif edit == "leading zero" and line[0]:
+            line[0][-1] = "0" + line[0][-1]
+        elif edit == "three ids":
+            line[0].append(str(base))
+        elif edit == "bad header" and lines and lines[0][0][:1] == ["n"]:
+            lines[0][0][1:] = [draw(st.sampled_from(["0", str(MAX_INPUT_ORDER + 1), "--5", "²", "x"]))]
+        elif edit == "no header" and lines and lines[0][0][:1] == ["n"]:
+            del lines[0]
+        elif edit == "comment":
+            lines.insert(at, [["#", "c"], " ", "\n"])
+        elif edit == "blank line":
+            lines.insert(at, [[], " ", "\n"])
+        elif edit in ("tab", "double space"):
+            line[1] = "\t" if edit == "tab" else "  "
+        elif edit == "crlf":
+            line[2] = "\r\n"
+        elif edit == "no final newline" and lines:
+            lines[-1][2] = ""
+    return "".join(sep.join(tokens) + end for tokens, sep, end in lines), bool(base)
+
+
+def _outcome(read, *args):
+    """read(*args) as (order, name, adjacency), or its ValueError as (type, message)."""
+    try:
+        g = read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g.order, g.name, tuple(map(g.neighbors, range(g.order)))
+
+
+class TestBulkRead:
+    """A plain edge list is read in bulk; the line scan reads every other text the same."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_same_as_line_scan(self, case):
+        text, one_indexed = case
+        base = int(one_indexed)
+        expected = _outcome(_read_lines, text, base)
+        assert _outcome(parse_edge_list, text, one_indexed) == expected
+        bulk = _read_plain(text, base)
+        if bulk is not None:
+            assert _outcome(lambda: bulk) == expected
+
+    @pytest.mark.parametrize("text,one_indexed", [
+        (emit_edge_list(build_multipartite(3, 4)), False),
+        (emit_edge_list(build_cycle(5), one_indexed=True), True),
+        ("n 4\n3 0\n1 2\n0 1", False),
+        ("n 3\n00 02\n1 2\n", False),
+        ("n 7\n", False),
+    ])
+    def test_plain_text_is_read_in_bulk(self, text, one_indexed):
+        bulk = _read_plain(text, int(one_indexed))
+        assert bulk is not None
+        assert bulk == parse_edge_list(text.replace("\n", "\r\n"), one_indexed=one_indexed)
+
+    @pytest.mark.parametrize("text", [
+        "n 3\r\n0 1\r\n", "n 3\n0\t1\n", "n 3\n0 1 # c\n", "n 3\n\n0 1\n", "0 1\n1 2\n",
+        "n 3\n0  1\n", "n 3\n0 1 2\n1\n", "n 3\n0 ²\n", " n 3\n0 1\n", "n 3\n0 1\n1 1\n",
+        "n 3\n0 1\n1 0\n", "n 3\n0 3\n", "n 0\n",
+    ])
+    def test_other_text_is_left_to_the_line_scan(self, text):
+        assert _read_plain(text, 0) is None
 
 
 class TestJson:

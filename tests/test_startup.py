@@ -132,3 +132,85 @@ def test_commands_run_with_numpy_blocked(files):
     got = json.loads(proc.stdout)
     wrong = [(argv, want, code) for (argv, want), code in zip(COMMANDS, got) if code != want]
     assert not wrong
+
+
+# modules each command must leave unloaded: it imports only what it uses
+FOOTPRINT = {
+    "verify": (
+        ["verify", "--graph", "{k33}", "--labels", "{magic}"],
+        {"magiclab.search", "magiclab._kernels", "magiclab.rectangles", "magiclab.families"},
+    ),
+    "eit": (["eit", "--teams", "8", "--rounds", "4"], {"magiclab.search", "magiclab._kernels"}),
+}
+
+
+@pytest.mark.parametrize("command", FOOTPRINT)
+def test_command_loads_only_the_modules_it_uses(files, command):
+    argv, absent = FOOTPRINT[command]
+    argv = [arg.format(**files) for arg in argv]
+    proc = run_python(f"""
+        import contextlib, io, json, sys
+        from magiclab.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main({argv!r})
+        print(json.dumps([code, sorted(sys.modules)]))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert not absent & set(loaded)
+
+
+# every name `import magiclab` bound when it imported all of its modules
+EXPORTS = {
+    "_kernels": ["BACKEND"],
+    "families": [
+        "EitVerdict", "HypothesisError", "IndexResult", "NotMagicError", "NotRegularError",
+        "eit_feasible", "eit_schedule", "theta_hnp", "theta_lex_blowup", "theta_m_cycle_lex",
+        "theta_m_hnp",
+    ],
+    "graphs": [
+        "Graph", "build_circulant", "build_cycle", "build_multipartite", "disjoint_union",
+        "empty_graph", "emit_edge_list", "graph_from_json", "graph_to_json", "lex_product",
+        "parse_edge_list", "regular_degree",
+    ],
+    "labeling": [
+        "HnpBounds", "Labeling", "LabelSet", "NonIntegerConstant", "VerificationReport",
+        "admissible_deleted_labels", "constant_bounds", "hnp_constant_bounds", "regular_constant",
+        "verify_blowup", "verify_s_magic", "vertex_weight",
+    ],
+    "rectangles": [
+        "Rectangle", "balanced_even", "balanced_odd", "case1", "case2", "case3", "column_sums",
+        "complement", "construct_deleted", "kotzig", "split", "validate",
+    ],
+    "search": [
+        "SearchBudgetExceeded", "SearchConfig", "compute_index", "enumerate_labelings",
+        "find_labeling",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_every_export_is_its_home_modules_object(module):
+    # a fresh process, so that each name is the first to load its module
+    proc = run_python(f"""
+        import importlib
+        import magiclab
+        for name in {EXPORTS[module]!r}:
+            value = getattr(magiclab, name)
+            home = importlib.import_module("magiclab.{module}")
+            assert value is getattr(home, name), name
+        assert getattr(magiclab, "{module}") is home
+        assert magiclab.__version__ == "0.1.0"
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_gives_every_export():
+    proc = run_python(f"""
+        from magiclab import *
+        missing = [name for names in {list(EXPORTS.values())!r} for name in names if name not in globals()]
+        assert not missing, missing
+        assert (families, graphs, labeling, rectangles, search)
+    """)
+    assert proc.returncode == 0, proc.stderr
