@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .graphs import MAX_INPUT_ORDER, Graph, graph_from_json, parse_edge_list, regular_degree
 
@@ -28,45 +28,42 @@ if TYPE_CHECKING:
     from . import families, rectangles, search
     from .labeling import Labeling
 
+T = TypeVar("T")
+
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse: Callable[..., T], *args: object) -> T:
+    """parse(text of the file at path, *args); any fault names the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as exc:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_graph(path: str, one_indexed: bool) -> Graph:
-    text = _read_text(path)
-    stripped = text.lstrip()
     try:
-        if stripped.startswith("{"):
-            return graph_from_json(json.loads(text))
-        return parse_edge_list(text, one_indexed=one_indexed)
+        return parse(text, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_labeling(path: str) -> Labeling:
+def _parse_graph(text: str, one_indexed: bool) -> Graph:
+    if text.lstrip().startswith("{"):
+        return graph_from_json(json.loads(text))
+    return parse_edge_list(text, one_indexed=one_indexed)
+
+
+def _parse_labeling(text: str) -> Labeling:
     from .labeling import Labeling, labeling_from_json
 
-    text = _read_text(path)
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("{"):
-            return labeling_from_json(json.loads(text))
-        values = [int(tok) for tok in text.split()]
-        if not values:
-            raise ValueError("no labels found")
-        return Labeling(values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        return labeling_from_json(json.loads(text))
+    values = [int(tok) for tok in text.split()]
+    if not values:
+        raise ValueError("no labels found")
+    return Labeling(values)
 
 
 def _check_size(vertices: int) -> None:
@@ -134,7 +131,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             )
         if not args.base:
             raise ValueError("--family lex requires --base <edgelist>")
-        base = _load_graph(args.base, args.one_indexed)
+        base = _load(args.base, _parse_graph, args.one_indexed)
         _check_size(args.n * base.order)
         result = families.theta_lex_blowup(base, args.n)
     if args.out == "csv":
@@ -156,8 +153,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .labeling import verify_s_magic
 
-    graph = _load_graph(args.graph, args.one_indexed)
-    labeling = _load_labeling(args.labels)
+    graph = _load(args.graph, _parse_graph, args.one_indexed)
+    labeling = _load(args.labels, _parse_labeling)
     report = verify_s_magic(graph, labeling)
     _print_json(report.to_json_dict())
     return EXIT_OK if report.is_magic else EXIT_NEGATIVE
@@ -166,7 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     from . import search
 
-    graph = _load_graph(args.graph, args.one_indexed)
+    graph = _load(args.graph, _parse_graph, args.one_indexed)
     result = search.compute_index(graph, _search_config(args))
     _print_json(result.to_json_dict())
     return _index_exit(result)
@@ -192,12 +189,12 @@ def _build_rect(args: argparse.Namespace) -> list[rectangles.Rectangle]:
     if case == "complement":
         if not args.input:
             raise ValueError("--case complement requires --input")
-        rect = rectangles.rectangle_from_csv(_read_text(args.input))
+        rect = _load(args.input, rectangles.rectangle_from_csv)
         return [rectangles.complement(rect)]
     # split
     if not args.input or args.pieces is None:
         raise ValueError("--case split requires --input and --pieces")
-    rect = rectangles.rectangle_from_csv(_read_text(args.input))
+    rect = _load(args.input, rectangles.rectangle_from_csv)
     return rectangles.split(rect, args.pieces)
 
 
@@ -222,7 +219,7 @@ def _cmd_eit(args: argparse.Namespace) -> int:
     from .labeling import verify_s_magic
 
     if args.graph:
-        graph = _load_graph(args.graph, args.one_indexed)
+        graph = _load(args.graph, _parse_graph, args.one_indexed)
         if graph.order != args.teams:
             raise ValueError(
                 f"--teams {args.teams} does not match graph order {graph.order}"
@@ -237,7 +234,7 @@ def _cmd_eit(args: argparse.Namespace) -> int:
                 f"--rounds {args.rounds} does not match graph degree {r}"
             )
         if args.labels:
-            labeling = _load_labeling(args.labels)
+            labeling = _load(args.labels, _parse_labeling)
         else:
             from . import search
 

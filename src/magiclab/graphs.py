@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import defaultdict
 from itertools import accumulate, chain
 from typing import Iterable
 
@@ -65,8 +66,9 @@ class Graph:
     def _from_adjacency(cls, nbrs: tuple[tuple[int, ...], ...], name: str) -> Graph:
         """A graph from neighbour tuples that are already sorted, symmetric and loop-free.
 
-        Only the generators below build graphs this way, with no per-edge
-        check; every graph from outside goes through __init__.
+        The generators below and the edge-list readers build graphs this
+        way, with no per-edge check here; JSON input and user code go
+        through __init__.
         """
         g = object.__new__(cls)
         g.order = len(nbrs)
@@ -219,27 +221,11 @@ def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
 
     A plain text, a header and then one edge per line in ASCII digits, is
     read in bulk by _read_plain.  Any other text, and any plain text with a
-    fault, is read by _read_lines, whose line scan _scan_edge_list names the
-    fault.  That scan keeps no record of the edges it has seen, and the
-    split lines are gone before Graph is built: Graph finds a duplicate, and
-    only then is the text split again to name both of its lines.  A fault on
-    line L likewise rescans the lines before L for an earlier duplicate.
+    fault, is read in one pass by _read_lines, which names the fault.
     """
     base = 1 if one_indexed else 0
     graph = _read_plain(text, base)
     return graph if graph is not None else _read_lines(text, base)
-
-
-def _read_lines(text: str, base: int) -> Graph:
-    """The graph of any edge-list text, read line by line; raises on its first fault."""
-    try:
-        return Graph(*_scan_edge_list(text.splitlines(), base))
-    except ValueError as exc:
-        # a duplicate before a faulty line comes first; Graph raises only on
-        # a duplicate, as the scan admits every other edge, so rescan it all
-        stop = exc.line - 1 if isinstance(exc, EdgeListParseError) else None
-        _raise_duplicate_edge(text.splitlines()[:stop], base)
-        raise
 
 
 # every ASCII digit, to be deleted by str.translate
@@ -286,19 +272,21 @@ def _read_plain(text: str, base: int) -> Graph | None:
     return Graph._from_adjacency(tuple(adj), name="")
 
 
-def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, int]]]:
-    """(order, edges as read).
+def _read_lines(text: str, base: int) -> Graph:
+    """The graph of any edge-list text, read line by line; raises on its first fault.
 
-    Raises EdgeListParseError on any fault of a single line; duplicates are
-    left to the caller.  Without a header, the first id past
-    MAX_INPUT_ORDER - 1 is such a fault, as the order is the largest id + 1.
-    Each distinct token is checked once: `ids` maps it to its id, and a line
-    whose two tokens are both there needs only the self-loop check.
+    One pass over the lines builds the neighbour sets, so a repeated edge is
+    found on its own line, like every other fault.  Without a header, the
+    first id past MAX_INPUT_ORDER - 1 is a fault, as the order is the
+    largest id + 1.  Each distinct token is checked once: `ids` maps it to
+    its id, and a line whose two tokens are both there needs only the
+    self-loop and duplicate checks.  A set is made only for a vertex with
+    an edge, so a large order costs nothing until the end.
     """
+    lines = text.splitlines()
     order: int | None = None
-    edges: list[tuple[int, int]] = []
+    nbrs: defaultdict[int, set[int]] = defaultdict(set)
     ids: dict[str, int] = {}
-    top = -1
     for lineno, raw in enumerate(lines, start=1):
         tok = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tok:
@@ -306,7 +294,7 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
         if tok[0] == "n":
             if order is not None:
                 raise EdgeListParseError("repeated header", lineno)
-            if edges:
+            if nbrs:
                 raise EdgeListParseError("header must precede edges", lineno)
             try:
                 # isdigit admits tokens that int() refuses, such as "--5" and "²"
@@ -326,68 +314,58 @@ def _scan_edge_list(lines: list[str], base: int) -> tuple[int, list[tuple[int, i
             raise EdgeListParseError(f"expected 'u v', got {_content(raw)!r}", lineno)
         u = ids.get(tok[0])
         v = ids.get(tok[1])
-        if u is not None and v is not None:
-            if u == v:
-                raise EdgeListParseError(f"self-loop at vertex {u + base}", lineno)
-            edges.append((u, v))
-            continue
-        try:
-            u, v = int(tok[0]) - base, int(tok[1]) - base
-        except ValueError:
-            raise EdgeListParseError(
-                f"non-integer ids in {_content(raw)!r}", lineno
-            ) from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(
-                f"vertex id below {base} in {_content(raw)!r}", lineno
-            )
+        fresh = u is None or v is None
+        if fresh:
+            try:
+                u, v = int(tok[0]) - base, int(tok[1]) - base
+            except ValueError:
+                raise EdgeListParseError(
+                    f"non-integer ids in {_content(raw)!r}", lineno
+                ) from None
+            if u < 0 or v < 0:
+                raise EdgeListParseError(
+                    f"vertex id below {base} in {_content(raw)!r}", lineno
+                )
         if u == v:
             raise EdgeListParseError(f"self-loop at vertex {u + base}", lineno)
-        if order is None:
-            if u > top or v > top:
-                top = max(u, v, top)
-                if top >= MAX_INPUT_ORDER:
+        if fresh:
+            if order is None:
+                if max(u, v) >= MAX_INPUT_ORDER:
                     raise EdgeListParseError(
-                        f"vertex id {top + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
+                        f"vertex id {max(u, v) + base} exceeds the limit {MAX_INPUT_ORDER - 1 + base}",
                         lineno,
                     )
-        elif u >= order or v >= order:
-            raise EdgeListParseError(
-                f"vertex id exceeds declared order {order}", lineno
+            elif max(u, v) >= order:
+                raise EdgeListParseError(
+                    f"vertex id exceeds declared order {order}", lineno
+                )
+            ids[tok[0]] = u
+            ids[tok[1]] = v
+        if v in nbrs[u]:
+            # every earlier line was read without fault, so each edge's tokens are in ids
+            first = next(
+                at for at, t in enumerate((r.split("#", 1)[0].split() for r in lines), start=1)
+                if len(t) == 2 and t[0] != "n" and {ids[t[0]], ids[t[1]]} == {u, v}
             )
-        ids[tok[0]] = u
-        ids[tok[1]] = v
-        edges.append((u, v))
+            raise EdgeListParseError(
+                f"duplicate edge ({min(u, v) + base},{max(u, v) + base}), first seen on line {first}",
+                lineno,
+            )
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    del lines, ids  # freed before the tuples are built, which lowers the peak
     if order is None:
-        if not edges:
+        if not nbrs:
             raise EdgeListParseError("empty input (no header, no edges)", 1)
-        order = top + 1
-    return order, edges
+        order = max(nbrs) + 1
+    return Graph._from_adjacency(
+        tuple(tuple(sorted(nbrs.get(u, ()))) for u in range(order)), name=""
+    )
 
 
 def _content(raw: str) -> str:
     """A line without its comment and surrounding blanks, as error messages quote it."""
     return raw.split("#", 1)[0].strip()
-
-
-def _raise_duplicate_edge(lines: list[str], base: int) -> None:
-    """Raise the parse error for the first edge repeated within `lines`, if any.
-
-    Called only after parsing failed, with lines that _scan_edge_list
-    accepted, so each is blank, a comment, the header or a valid edge.
-    """
-    first_line: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        tok = raw.split("#", 1)[0].split()
-        if len(tok) != 2 or tok[0] == "n":
-            continue
-        u, v = sorted((int(tok[0]), int(tok[1])))
-        if (u, v) in first_line:
-            raise EdgeListParseError(
-                f"duplicate edge ({u},{v}), first seen on line {first_line[u, v]}",
-                lineno,
-            )
-        first_line[u, v] = lineno
 
 
 def emit_edge_list(g: Graph, one_indexed: bool = False) -> str:

@@ -390,13 +390,16 @@ def rectangle_from_csv(text: str) -> Rectangle:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("label_ceiling:"):
-                ceiling = int(body.split(":", 1)[1])
-            elif body.startswith("deleted:"):
-                val = body.split(":", 1)[1].strip()
-                deleted = () if val in ("-", "") else tuple(
-                    int(x) for x in val.split(",")
-                )
+            try:
+                if body.startswith("label_ceiling:"):
+                    ceiling = int(body.split(":", 1)[1])
+                elif body.startswith("deleted:"):
+                    val = body.split(":", 1)[1].strip()
+                    deleted = () if val in ("-", "") else tuple(
+                        int(x) for x in val.split(",")
+                    )
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer value in {line!r}") from None
             continue
         try:
             rows.append([int(x) for x in line.split(",")])

@@ -466,6 +466,33 @@ class TestInputErrors:
         assert main(["rect", "--case", "split", "--input", str(rect_file), "--pieces", "1"]) == 2
         assert f"column sums [{2**70 + 2}, 4]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--graph", "{bad}", "--labels", "{labels}"],
+        ["verify", "--graph", "{graph}", "--labels", "{bad}"],
+        ["rect", "--case", "complement", "--input", "{bad}"],
+    ])
+    def test_undecodable_file_is_named(self, capsys, tmp_path, k33_file, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n 6\n0 3\n\xff\n")
+        labels = tmp_path / "lab.txt"
+        labels.write_text("1 3 7 2 4 5")
+        argv = [a.format(bad=bad, labels=labels, graph=k33_file) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 8"
+        )
+
+    @pytest.mark.parametrize("text,line", [
+        ("# label_ceiling: x\n1,2\n", "line 1: non-integer value in '# label_ceiling: x'"),
+        ("# label_ceiling: 4\n# deleted: 1, x\n1,2\n", "line 2: non-integer value in '# deleted: 1, x'"),
+        ("1,2\n3,a\n", "line 2: non-integer cell in '3,a'"),
+    ])
+    def test_bad_rectangle_line_is_named(self, capsys, tmp_path, text, line):
+        rect_file = tmp_path / "r.csv"
+        rect_file.write_text(text)
+        assert main(["rect", "--case", "complement", "--input", str(rect_file)]) == 2
+        assert capsys.readouterr().err == f"error: {rect_file}: {line}\n"
+
 
 # ---------------------------------------------------------------------------
 # fuzz: malformed argv and input files through main(), in-process

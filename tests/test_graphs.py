@@ -303,6 +303,10 @@ PARSE_ERRORS = [
     ("n 3\n1 2\n2 3\n2 1", True, 4, "line 4: duplicate edge (1,2), first seen on line 2"),
     ("1 2\n\n# c\n2 1", True, 4, "line 4: duplicate edge (1,2), first seen on line 1"),
     ("0 1\n1 0\n0 1 2", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
+    # a fault before a later duplicate comes first; a third copy is named on the second
+    ("0 1\n0 1 2\n1 0", False, 2, "line 2: expected 'u v', got '0 1 2'"),
+    ("0 1\n1 0\n0 1", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
+    ("0 1\n01 0", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
     (f"0 1\n1 0\n0 {LIMIT}", False, 2, "line 2: duplicate edge (0,1), first seen on line 1"),
     (f"0 1\n0 {LIMIT}", False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}"),
     (f"0 1\n0 {LIMIT}\n0 1", False, 2, f"line 2: vertex id {LIMIT} exceeds the limit {LIMIT - 1}"),
@@ -349,6 +353,61 @@ class TestEdgeListErrors:
         with pytest.raises(EdgeListParseError) as exc:
             parse_edge_list(text, one_indexed=one_indexed)
         assert str(exc.value) == message
+        assert exc.value.line == line
+
+
+FAULTS = ["self-loop", "out of range", "non-integer", "three ids", "repeat"]
+
+
+@st.composite
+def two_faults(draw) -> tuple[str, bool, int]:
+    """(text, one_indexed, line): a valid edge list with faults put on two lines, the first on `line`.
+
+    Each fault is one of FAULTS; a repeat copies an earlier valid edge,
+    perhaps reversed or with a leading zero.
+    """
+    order = draw(st.integers(min_value=2, max_value=7))
+    base = draw(st.integers(min_value=0, max_value=1))
+    pairs = [(u, v) for u in range(order) for v in range(order) if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    lines = [f"{u + base} {v + base}" for u, v in edges]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(["", "# c", "  "])))
+    head = [f"n {order}"] if draw(st.booleans()) else []
+    lines = head + lines
+    valid = [line for line in lines[len(head):] if line.strip() and not line.startswith("#")]
+    too_big = [base - 1, MAX_INPUT_ORDER + base] + ([order + base] if head else [])
+    at = draw(st.integers(min_value=len(head), max_value=len(lines)))
+    first = at + 1
+    for _ in range(2):
+        earlier = [line.split() for line in lines[:at] if line in valid]
+        kind = draw(st.sampled_from(FAULTS if earlier else FAULTS[:-1]))
+        if kind == "self-loop":
+            fault = [str(draw(st.integers(min_value=base, max_value=order + base - 1)))] * 2
+        elif kind == "out of range":
+            fault = [str(base), str(draw(st.sampled_from(too_big)))]
+        elif kind == "non-integer":
+            fault = [str(base), draw(st.sampled_from(["x", "1.0", "0x1", "²"]))]
+        elif kind == "three ids":
+            fault = [str(base), str(base + 1), str(base)]
+        else:
+            fault = draw(st.sampled_from(earlier))[:: draw(st.sampled_from([1, -1]))]
+            if draw(st.booleans()):
+                fault = ["0" + fault[0], fault[1]]
+        lines.insert(at, " ".join(fault))
+        at = draw(st.integers(min_value=at + 1, max_value=len(lines)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines), bool(base), first
+
+
+class TestFirstFault:
+    """Of two faults, the one on the earlier line is reported, whatever their kinds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_faults())
+    def test_earlier_line_is_named(self, case):
+        text, one_indexed, line = case
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(text, one_indexed=one_indexed)
         assert exc.value.line == line
 
 
