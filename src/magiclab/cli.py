@@ -9,9 +9,14 @@ infeasible, 2 usage, parse, or hypothesis errors, 3 indeterminate outcomes
 (unknown at cap, exhausted budget, undecided feasibility).
 
 Each subcommand imports what it uses when it runs, so a process loads only
-that: `verify` loads `graphs` and `labeling`, `rect` `graphs` and
-`rectangles`, `construct` and `eit` `families` and the modules it imports.
-Only `index`, and `eit --graph` without --labels, load the search kernel.
+that.  `eit --teams N --rounds R` loads `_eit` alone; `verify` loads
+`graphs` and `labeling`; `rect` loads `rectangles`, and `graphs` for its
+size limit when it builds a rectangle; `construct` loads `families`, which
+imports `_eit`, `graphs` and `labeling`, and `rectangles` when it builds a
+witness; `index` loads `search`, `_kernels` and the modules `construct`
+does but `rectangles`; `eit --graph` loads `families`, and `search` and
+`_kernels` too when it has no --labels.  Neither `verify` nor `eit`
+without --graph loads `dataclasses` or `fractions`.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from .graphs import MAX_INPUT_ORDER, Graph, graph_from_json, parse_edge_list, regular_degree
-
 if TYPE_CHECKING:
     from . import families, rectangles, search
+    from .graphs import Graph
     from .labeling import Labeling
 
 T = TypeVar("T")
@@ -50,6 +54,8 @@ def _load(path: str, parse: Callable[..., T], *args: object) -> T:
 
 
 def _parse_graph(text: str, one_indexed: bool) -> Graph:
+    from .graphs import graph_from_json, parse_edge_list
+
     if text.lstrip().startswith("{"):
         return graph_from_json(json.loads(text))
     return parse_edge_list(text, one_indexed=one_indexed)
@@ -60,7 +66,12 @@ def _parse_labeling(text: str) -> Labeling:
 
     if text.lstrip().startswith("{"):
         return labeling_from_json(json.loads(text))
-    values = [int(tok) for tok in text.split()]
+    values = []
+    for k, tok in enumerate(text.split(), start=1):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"label {k} is not an integer: {tok!r}") from None
     if not values:
         raise ValueError("no labels found")
     return Labeling(values)
@@ -72,6 +83,8 @@ def _check_size(vertices: int) -> None:
     Rectangles and witnesses are allocated in full, so an order such as
     --n 7 --p 10**9 would exhaust memory before anything else failed.
     """
+    from .graphs import MAX_INPUT_ORDER
+
     if vertices > MAX_INPUT_ORDER:
         raise ValueError(f"requested {vertices} vertices, above the limit {MAX_INPUT_ORDER}")
 
@@ -215,45 +228,11 @@ def _cmd_rect(args: argparse.Namespace) -> int:
 
 
 def _cmd_eit(args: argparse.Namespace) -> int:
-    from . import families
-    from .labeling import verify_s_magic
-
     if args.graph:
-        graph = _load(args.graph, _parse_graph, args.one_indexed)
-        if graph.order != args.teams:
-            raise ValueError(
-                f"--teams {args.teams} does not match graph order {graph.order}"
-            )
-        r = regular_degree(graph)
-        if r is None:
-            raise ValueError(
-                f"--rounds {args.rounds} needs a regular graph; this graph is not regular"
-            )
-        if r != args.rounds:
-            raise ValueError(
-                f"--rounds {args.rounds} does not match graph degree {r}"
-            )
-        if args.labels:
-            labeling = _load(args.labels, _parse_labeling)
-        else:
-            from . import search
+        return _eit_schedule(args)
+    from . import _eit
 
-            result = search.compute_index(graph, _search_config(args))
-            if result.witness is None:
-                _print_json(result.to_json_dict())
-                return EXIT_INDETERMINATE
-            labeling = result.witness
-        try:
-            schedule = families.eit_schedule(graph, labeling)
-        except families.NotMagicError:
-            _print_json(verify_s_magic(graph, labeling).to_json_dict())
-            return EXIT_NEGATIVE
-        if args.format == "table":
-            print(families.schedule_table(schedule), end="")
-        else:
-            _print_json(schedule)
-        return EXIT_OK
-    verdict = families.eit_feasible(args.teams, args.rounds)
+    verdict = _eit.eit_feasible(args.teams, args.rounds)
     if args.format == "table":
         state = {True: "feasible", False: "infeasible", None: "unknown"}[
             verdict.feasible
@@ -266,6 +245,48 @@ def _cmd_eit(args: argparse.Namespace) -> int:
     if verdict.feasible is False:
         return EXIT_NEGATIVE
     return EXIT_INDETERMINATE
+
+
+def _eit_schedule(args: argparse.Namespace) -> int:
+    """eit --graph: the schedule from a given or searched-for magic labeling."""
+    from . import families
+    from .graphs import regular_degree
+    from .labeling import verify_s_magic
+
+    graph = _load(args.graph, _parse_graph, args.one_indexed)
+    if graph.order != args.teams:
+        raise ValueError(
+            f"--teams {args.teams} does not match graph order {graph.order}"
+        )
+    r = regular_degree(graph)
+    if r is None:
+        raise ValueError(
+            f"--rounds {args.rounds} needs a regular graph; this graph is not regular"
+        )
+    if r != args.rounds:
+        raise ValueError(
+            f"--rounds {args.rounds} does not match graph degree {r}"
+        )
+    if args.labels:
+        labeling = _load(args.labels, _parse_labeling)
+    else:
+        from . import search
+
+        result = search.compute_index(graph, _search_config(args))
+        if result.witness is None:
+            _print_json(result.to_json_dict())
+            return EXIT_INDETERMINATE
+        labeling = result.witness
+    try:
+        schedule = families.eit_schedule(graph, labeling)
+    except families.NotMagicError:
+        _print_json(verify_s_magic(graph, labeling).to_json_dict())
+        return EXIT_NEGATIVE
+    if args.format == "table":
+        print(families.schedule_table(schedule), end="")
+    else:
+        _print_json(schedule)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
+from ._eit import EitVerdict, HypothesisError, eit_feasible
 from .graphs import Graph, build_cycle, build_multipartite, disjoint_union, regular_degree
 from .labeling import Labeling, verify_blowup, verify_s_magic
-from .rectangles import balanced_even, balanced_odd, construct_deleted
 
 if TYPE_CHECKING:
     from .search import SearchConfig
@@ -41,10 +41,6 @@ __all__ = [
     "eit_schedule",
     "schedule_table",
 ]
-
-
-class HypothesisError(ValueError):
-    """Arguments violate the hypothesis of the dispatched result."""
 
 
 class NotRegularError(ValueError):
@@ -234,6 +230,10 @@ def _blowup(
     Every witness is checked on its fiber sums over base (verify_blowup),
     which is exact and never builds the blow-up's edges.
     """
+    # imported here, their only use, so that loading families (as `index`
+    # does, for IndexResult) leaves rectangles unloaded
+    from .rectangles import balanced_even, balanced_odd, construct_deleted
+
     p = base.order
     labels: Iterable[int]
     if r == 0:
@@ -359,71 +359,9 @@ def theta_lex_blowup(g: Graph, n: int, config: SearchConfig | None = None) -> In
 
 
 # ---------------------------------------------------------------------------
-# equalized incomplete tournaments
+# equalized incomplete tournaments (eit_feasible and EitVerdict live in
+# _eit, so that `magiclab eit --teams N --rounds R` loads nothing else)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EitVerdict:
-    """Feasibility of an equalized incomplete tournament.
-
-    feasible is True, False, or None when the cited characterizations do
-    not decide the instance (odd team counts with even rounds).
-    """
-
-    teams: int
-    rounds: int
-    feasible: bool | None
-    reason: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "teams": self.teams,
-            "rounds": self.rounds,
-            "feasible": self.feasible,
-            "reason": self.reason,
-        }
-
-
-def eit_feasible(n_teams: int, r: int) -> EitVerdict:
-    """Decide EIT(n, r): n teams, each playing r opponents, equal strengths.
-
-    Equivalent to a distance magic labeling of an r-regular graph of order
-    n.  Odd rounds are always infeasible.  Every n needs 2 <= r <= n-2: no
-    simple graph is r-regular for r >= n, and K_n (r = n-1) has the
-    distinct weights T - f(v).  In that range the characterization is
-    complete for even n: n = 0 (mod 4), or n = 2 (mod 4) with r = 0
-    (mod 4).  Odd n with even rounds in range is outside the cited results.
-    """
-    if n_teams < 2:
-        raise HypothesisError(f"requires at least 2 teams, got {n_teams}")
-    if r < 0:
-        raise HypothesisError(f"rounds must be >= 0, got {r}")
-    if r % 2 == 1:
-        return EitVerdict(
-            n_teams, r, False,
-            "odd rounds: no odd-regular graph admits a distance magic labeling",
-        )
-    if not 2 <= r <= n_teams - 2:
-        return EitVerdict(
-            n_teams, r, False,
-            f"rounds must satisfy 2 <= r <= n-2 = {n_teams - 2}",
-        )
-    if n_teams % 2 == 1:
-        return EitVerdict(
-            n_teams, r, None,
-            "odd team count with even rounds is not decided by the "
-            "implemented characterization",
-        )
-    if n_teams % 4 == 0:
-        return EitVerdict(n_teams, r, True, "n = 0 (mod 4) with even rounds in range")
-    if r % 4 == 0:
-        return EitVerdict(n_teams, r, True, "n = 2 (mod 4) with r = 0 (mod 4)")
-    return EitVerdict(
-        n_teams, r, False,
-        "rounds = 2 (mod 4) force a team count divisible by 4, "
-        f"but {n_teams} = 2 (mod 4)",
-    )
-
 
 def eit_schedule(g: Graph, labeling: Labeling) -> dict:
     """Tournament sheet from a magic labeling of a regular graph.

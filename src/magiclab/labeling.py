@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "LabelSet",
@@ -53,20 +54,47 @@ def _integers(values: Iterable[int]) -> list[int]:
         raise ValueError(f"labels must be integers: {exc}") from None
 
 
-@dataclass(frozen=True)
 class LabelSet:
-    """Strictly increasing positive labels; alpha is the largest one."""
+    """Strictly increasing positive labels; alpha is the largest one.
+
+    Frozen: it compares and hashes by its values, and assigning to it
+    raises AttributeError.
+    """
+
+    __slots__ = ("values",)
 
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_integers(self.values)))
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(_integers(values))
+        if not values:
             raise ValueError("label set must be nonempty")
-        if self.values[0] < 1:
-            raise ValueError(f"labels must be positive, got {self.values[0]}")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if values[0] < 1:
+            raise ValueError(f"labels must be positive, got {values[0]}")
+        if any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("labels must be strictly increasing")
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r})"
+
+    def __reduce__(self):
+        # the default would restore the slot through the refused __setattr__
+        return type(self), (self.values,)
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "LabelSet":
@@ -129,13 +157,46 @@ class Labeling(tuple):
         return f"Labeling(labels={tuple(self)!r})"
 
 
-@dataclass
 class VerificationReport:
+    """What verify_s_magic and verify_blowup found; compared field by field."""
+
+    __slots__ = ("is_magic", "constant", "weights", "violations", "is_distance_magic")
+    __hash__ = None  # mutable and compared by value
+
     is_magic: bool
     constant: int | None
     weights: tuple[int, ...]
-    violations: list[str] = field(default_factory=list)
-    is_distance_magic: bool = False
+    violations: list[str]
+    is_distance_magic: bool
+
+    def __init__(
+        self,
+        is_magic: bool,
+        constant: int | None,
+        weights: tuple[int, ...],
+        violations: list[str] | None = None,
+        is_distance_magic: bool = False,
+    ) -> None:
+        self.is_magic = is_magic
+        self.constant = constant
+        self.weights = weights
+        self.violations = [] if violations is None else violations
+        self.is_distance_magic = is_distance_magic
+
+    def _astuple(self) -> tuple:
+        return (self.is_magic, self.constant, self.weights, self.violations, self.is_distance_magic)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(is_magic={self.is_magic!r}, "
+            f"constant={self.constant!r}, weights={self.weights!r}, "
+            f"violations={self.violations!r}, is_distance_magic={self.is_distance_magic!r})"
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -289,6 +350,8 @@ def constant_bounds(n: int, r: int) -> tuple[Fraction, Fraction]:
         raise ValueError(f"order must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"degree must be >= 1, got {r}")
+    from fractions import Fraction
+
     lower = Fraction(n * r + r, 2) + Fraction(r, n)
     upper = Fraction(n * r + 3 * r, 2)
     return lower, upper

@@ -402,15 +402,14 @@ def rectangle_from_csv(text: str) -> Rectangle:
                 raise ValueError(f"line {lineno}: non-integer value in {line!r}") from None
             continue
         try:
-            rows.append([int(x) for x in line.split(",")])
+            row = [int(x) for x in line.split(",")]
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer cell in {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: row has {len(row)} cells, expected {len(rows[0])}")
+        rows.append(row)
     if not rows:
         raise ValueError("no matrix rows found")
-    width = len(rows[0])
-    for idx, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {idx + 1} has {len(row)} cells, expected {width}")
     return Rectangle(rows, ceiling, deleted)
 
 

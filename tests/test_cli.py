@@ -486,12 +486,27 @@ class TestInputErrors:
         ("# label_ceiling: x\n1,2\n", "line 1: non-integer value in '# label_ceiling: x'"),
         ("# label_ceiling: 4\n# deleted: 1, x\n1,2\n", "line 2: non-integer value in '# deleted: 1, x'"),
         ("1,2\n3,a\n", "line 2: non-integer cell in '3,a'"),
+        # a ragged row is named by its file line, not by its place among the rows
+        ("# label_ceiling: 4\n# deleted: -\n1,2\n3\n", "line 4: row has 1 cells, expected 2"),
+        # each row's width is checked as it is read, so the first fault is the one named
+        ("1,2\n3\n4,x\n", "line 2: row has 1 cells, expected 2"),
+        ("1,2\n3,x\n4\n", "line 2: non-integer cell in '3,x'"),
     ])
     def test_bad_rectangle_line_is_named(self, capsys, tmp_path, text, line):
         rect_file = tmp_path / "r.csv"
         rect_file.write_text(text)
         assert main(["rect", "--case", "complement", "--input", str(rect_file)]) == 2
         assert capsys.readouterr().err == f"error: {rect_file}: {line}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--graph", "{graph}", "--labels", "{labels}"],
+        ["eit", "--teams", "6", "--rounds", "3", "--graph", "{graph}", "--labels", "{labels}"],
+    ])
+    def test_non_integer_label_is_named(self, capsys, tmp_path, k33_file, argv):
+        labels = tmp_path / "lab.txt"
+        labels.write_text("1 3\n7 x 4 5\n")
+        assert main([a.format(graph=k33_file, labels=labels) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {labels}: label 4 is not an integer: 'x'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,21 @@ def test_commands_run_with_numpy_blocked(files):
 FOOTPRINT = {
     "verify": (
         ["verify", "--graph", "{k33}", "--labels", "{magic}"],
-        {"magiclab.search", "magiclab._kernels", "magiclab.rectangles", "magiclab.families"},
+        {"magiclab.search", "magiclab._kernels", "magiclab.rectangles", "magiclab.families",
+         "dataclasses", "fractions"},
     ),
-    "eit": (["eit", "--teams", "8", "--rounds", "4"], {"magiclab.search", "magiclab._kernels"}),
+    # arithmetic on two integers: no graph, labeling or record-class machinery
+    "eit": (
+        ["eit", "--teams", "8", "--rounds", "4"],
+        {"magiclab.search", "magiclab._kernels", "magiclab.families", "magiclab.labeling",
+         "magiclab.rectangles", "magiclab.graphs", "dataclasses", "fractions"},
+    ),
+    # search takes IndexResult from families, which builds no rectangle here
+    "index": (["index", "--graph", "{k33}"], {"magiclab.rectangles", "fractions"}),
+    "rect": (
+        ["rect", "--case", "complement", "--input", "{case1}"],
+        {"magiclab.graphs", "magiclab.labeling", "magiclab.families", "magiclab.search"},
+    ),
 }
 
 
