@@ -54,7 +54,12 @@ def backtrack(
     Extra rows target 0 and are given by vertex: plus[v] and minus[v] list
     the rows that vertex v enters with sign +1 and with sign -1.  Optional
     twin_prev[v] >= 0 names an earlier vertex whose label must be smaller
-    than v's, so the label scan of v starts just after it.
+    than v's, so the label scan of v starts just after it.  A first hit
+    passes the lex-leader order of the graph's stabiliser chain: v's
+    predecessor is the last earlier vertex that an automorphism fixing
+    every vertex before that one sends to v (search._search_rows), which
+    keeps the lexicographically first magic labeling.  Twins are the case
+    where that automorphism swaps two vertices.
 
     With prune set, a branch dies as soon as a completed row misses its
     target or a partial row can no longer reach it.  A weight row is
@@ -66,7 +71,7 @@ def backtrack(
     row it enters admits, and v's scan covers exactly those labels: no try
     checks an extra row again.  Without prune, full assignments are
     generated and checked at the leaves only -- same results, no
-    shortcuts; the extra rows and the twin order are ignored.
+    shortcuts; the extra rows and the order are ignored.
 
     node_limit < 0 means unlimited; a node is one attempted assignment, and
     a label outside the scan is never attempted.
@@ -219,7 +224,7 @@ def _row_window(labels, used, first, prow, mrow, rsum, npos, nneg):
     the next ones inward.  The open entries of the rows take unused labels
     other than the one tried: labels in [a2, b] when a is tried, in
     [a, b2] when b is, and in [a, b] otherwise.  The scan starts at index
-    `first` or later, where the twin order puts it, and an unused label
+    `first` or later, where the order puts it, and an unused label
     from there on lies in labels[start:stop] exactly when every row can
     still reach 0 with its open entries so bounded.  The labels strictly
     between a and b that pass form one interval; a and b, when the scan

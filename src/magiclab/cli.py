@@ -10,7 +10,7 @@ infeasible, 2 usage, parse, or hypothesis errors, 3 indeterminate outcomes
 
 Each subcommand imports what it uses when it runs, so a process loads only
 that.  `eit --teams N --rounds R` loads `_eit` alone; `verify` loads
-`graphs` and `labeling`; `rect` loads `rectangles`, and `graphs` for its
+`graphs` and `labeling`; `rect` loads `rectangles`, and `_limits` for its
 size limit when it builds a rectangle; `construct` loads `families`, which
 imports `_eit`, `graphs` and `labeling`, and `rectangles` when it builds a
 witness; `index` loads `search`, `_kernels` and the modules `construct`
@@ -83,7 +83,7 @@ def _check_size(vertices: int) -> None:
     Rectangles and witnesses are allocated in full, so an order such as
     --n 7 --p 10**9 would exhaust memory before anything else failed.
     """
-    from .graphs import MAX_INPUT_ORDER
+    from ._limits import MAX_INPUT_ORDER
 
     if vertices > MAX_INPUT_ORDER:
         raise ValueError(f"requested {vertices} vertices, above the limit {MAX_INPUT_ORDER}")

@@ -12,6 +12,8 @@ from collections import defaultdict
 from itertools import accumulate, chain
 from typing import Iterable
 
+from ._limits import MAX_INPUT_ORDER
+
 __all__ = [
     "Graph",
     "EdgeListParseError",
@@ -201,13 +203,6 @@ def regular_degree(g: Graph) -> int | None:
 # ---------------------------------------------------------------------------
 # edge-list and JSON formats
 # ---------------------------------------------------------------------------
-
-# Largest order accepted from edge-list or JSON input, and by the CLI for a
-# requested construction.  Graph allocates every vertex up front, so a
-# header such as "n 10000000000" would exhaust memory before any other
-# check could run.
-MAX_INPUT_ORDER = 1_000_000
-
 
 def parse_edge_list(text: str, one_indexed: bool = False) -> Graph:
     """Parse "u v" lines with an optional "n <order>" header.

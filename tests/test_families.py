@@ -93,6 +93,20 @@ class TestThetaHnp:
         assert r.theta == want
         check_witness(r, build_multipartite(n, p))
 
+    def test_witness_check_raises_under_optimize(self, run_optimized):
+        # python -O strips assert statements; this self-check must survive it
+        proc = run_optimized("""
+            import sys
+            from magiclab import families, rectangles
+            if __debug__:
+                sys.exit("not running under -O")
+            # columns summing to 5, 7 and 9 label H(2,3), so weights differ
+            rectangles.balanced_even = lambda n, p: rectangles.Rectangle(((1, 2, 3), (4, 5, 6)), 6)
+            families.theta_hnp(2, 3)
+        """)
+        assert proc.returncode == 1
+        assert "AssertionError: constructed witness failed verification: ['w(0)=16 != w(2)=14'" in proc.stderr
+
     def test_constant_is_degree_times_column_sum(self):
         r = theta_hnp(7, 4)
         # (p-1) column sums: every vertex sees all parts but its own

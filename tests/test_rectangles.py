@@ -138,6 +138,21 @@ class TestCase3:
         assert validate(case3(7, 1)).ok
 
 
+    def test_pool_check_raises_under_optimize(self, run_optimized):
+        # python -O strips assert statements; this self-check must survive it
+        proc = run_optimized("""
+            import sys
+            from magiclab import rectangles
+            if __debug__:
+                sys.exit("not running under -O")
+            # every row reads 1, 2: the entries stay integers but repeat
+            rectangles._case3_doubled = lambda i, j, n, m, last_row_fix: 2 * j
+            rectangles.case3(3, 1)
+        """)
+        assert proc.returncode == 1
+        assert "AssertionError: case3(3,1) does not cover its label pool" in proc.stderr
+
+
 class TestConstructDeleted:
     def test_dispatch(self):
         assert construct_deleted(3, 2) == case1(1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from magiclab import _kernels, search
 from magiclab.graphs import (
     Graph,
+    build_circulant,
     build_cycle,
     build_multipartite,
     disjoint_union,
@@ -490,7 +491,7 @@ class TestRandomGraphPruning:
 
 
 class TestFirstHitEquivalence:
-    """Difference rows and false-twin order never change a first hit."""
+    """Difference rows and the lex-leader order never change a first hit."""
 
     # graphs with false twins, difference rows or both
     GRAPHS = [
@@ -579,7 +580,7 @@ class TestFirstHitEquivalence:
     def test_same_as_neighborhood_pruning_alone(self, g, monkeypatch, kernel_nodes):
         # the unpruned search is out of reach on C5[K2] and 2H(2,3), so the
         # reference here is the pruned search without the difference rows and
-        # the twin order: the inputs an enumeration gets
+        # the orbit order: the inputs an enumeration gets
         values = tuple(range(1, g.order + 1))
         fast = (find_labeling(g, values), compute_index(g))
         fast_nodes = sum(kernel_nodes)
@@ -589,23 +590,23 @@ class TestFirstHitEquivalence:
             search, "_search_rows", lambda g, refs, first_hit: search_rows(g, refs, False)
         )
         assert fast == (find_labeling(g, values), compute_index(g))
-        # the patch took effect: the rows and the twin order did prune
+        # the patch took effect: the rows and the orbit order did prune
         assert sum(kernel_nodes) > fast_nodes
 
     # exact node counts: the search succeeds at the pinned budget, not one below
     def test_h26_exact_inside_node_budget(self):
         g = build_multipartite(2, 6)
-        res = compute_index(g, SearchConfig(node_limit=517))
+        res = compute_index(g, SearchConfig(node_limit=245))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7)
-        assert compute_index(g, SearchConfig(node_limit=516)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=244)).kind == "indeterminate"
 
     def test_h34_exact_inside_node_budget(self):
         g = build_multipartite(3, 4)
-        res = compute_index(g, SearchConfig(node_limit=1_405))
+        res = compute_index(g, SearchConfig(node_limit=1_246))
         assert res.kind == "finite" and res.theta == 1
         assert res.witness.labels == (1, 6, 13, 2, 8, 10, 3, 5, 12, 4, 7, 9)
-        assert compute_index(g, SearchConfig(node_limit=1_404)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=1_245)).kind == "indeterminate"
 
     def test_irregular_exact_inside_node_budget(self):
         # G10 is irregular, and N(9) is inside N(8): their difference row
@@ -616,10 +617,10 @@ class TestFirstHitEquivalence:
 
     def test_prism_k2_exact_inside_node_budget(self):
         g = blowup(PRISM, 2)
-        res = compute_index(g, SearchConfig(node_limit=1_871))
+        res = compute_index(g, SearchConfig(node_limit=1_169))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 4, 5, 8, 9, 12, 2, 3, 6, 7, 10, 11)
-        assert compute_index(g, SearchConfig(node_limit=1_870)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=1_168)).kind == "indeterminate"
 
     def test_h43_exact_inside_node_budget(self):
         g = build_multipartite(4, 3)
@@ -635,6 +636,130 @@ class TestFirstHitEquivalence:
         assert hit is not None and hit == find_labeling(g, values)
         with pytest.raises(SearchBudgetExceeded):
             find_labeling(g, values, SearchConfig(node_limit=2_271))
+
+
+def chain_prev(g: Graph, colour=None) -> list[int]:
+    """Stabiliser-chain predecessors from the full automorphism group.
+
+    The group, of the permutations that keep colour if one is given, is
+    found among all permutations of the vertices; prev[j] is the largest
+    i < j that an automorphism fixing 0 .. i-1 sends to j.
+    """
+    n = g.order
+    colour = colour or [0] * n
+    edges = {(u, v) for u in range(n) for v in g.neighbors(u)}
+    autos = [
+        p for p in permutations(range(n))
+        if all(colour[p[v]] == colour[v] for v in range(n))
+        and all((p[u], p[v]) in edges for u, v in edges)
+    ]
+    prev = [-1] * n
+    for i in range(n):
+        for p in autos:
+            if p[i] != i and p[:i] == tuple(range(i)):
+                prev[p[i]] = i
+    return prev
+
+
+@st.composite
+def _graph_with_twins(draw):
+    """A graph of order <= 7, some vertices copied as false or true twins,
+    then relabelled, so that twins need not be neighbours in id order."""
+    b = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(b) for v in range(u + 1, b)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    nbrs = [set() for _ in range(b)]
+    for (u, v), k in zip(pairs, keep):
+        if k:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    for _ in range(draw(st.integers(0, 7 - b))):
+        x = draw(st.integers(0, len(nbrs) - 1))
+        w = len(nbrs)
+        nbrs.append(set(nbrs[x]))
+        for y in nbrs[x]:
+            nbrs[y].add(w)
+        if draw(st.booleans()):
+            nbrs[x].add(w)
+            nbrs[w].add(x)
+    order = draw(st.permutations(range(len(nbrs))))
+    edges = {tuple(sorted((order[u], order[v]))) for u in range(len(nbrs)) for v in nbrs[u]}
+    return Graph(len(nbrs), sorted(edges), "twins")
+
+
+def orbit_prev(g: Graph) -> list[int]:
+    return search._search_rows(g, regular_degree(g) is None, True)[4]
+
+
+class TestOrbitOrder:
+    """A first hit scans each vertex's labels from its chain predecessor's."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(g=st.one_of(_small_graph(), _graph_with_twins()))
+    def test_equals_full_automorphism_group(self, g):
+        assert orbit_prev(g) == chain_prev(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=_small_graph(), data=st.data())
+    def test_any_coloured_graph(self, g, data):
+        # _orbit_prev alone, where false twins and colours are allowed too
+        colour = data.draw(st.lists(st.integers(0, 1), min_size=g.order, max_size=g.order))
+        adj = [sum(1 << x for x in g.neighbors(v)) for v in range(g.order)]
+        assert search._orbit_prev(adj, colour) == chain_prev(g, colour)
+
+    def test_closed_forms(self):
+        # blocks: the parts of H(2,3) in order, and each copy of K(2,2) in 3K(2,2)
+        assert orbit_prev(build_multipartite(2, 3)) == [-1, 0, 0, 2, 2, 4]
+        assert orbit_prev(disjoint_union(build_multipartite(2, 2), 3)) == [-1, 0, 0, 2, 0, 4, 4, 6, 4, 8, 8, 10]
+        # the dihedral group of a cycle: 0 reaches all, then the reflection
+        # fixing 0 pairs 1 with the other neighbor of 0
+        assert orbit_prev(build_cycle(6)) == [-1, 0, 0, 0, 0, 1]
+        assert orbit_prev(blowup(build_cycle(5), 2)) == [-1, 0, 0, 2, 0, 4, 0, 6, 2, 8]
+        # two triangles: every degree is 2, but no one cycle holds them all
+        two_triangles = disjoint_union(build_cycle(3), 2)
+        assert orbit_prev(two_triangles) == chain_prev(two_triangles) == [-1, 0, 1, 0, 3, 4]
+        # searched: the prism and the cube
+        assert orbit_prev(PRISM) == [-1, 0, 1, 0, 0, 0]
+        assert orbit_prev(CUBE) == [-1, 0, 1, 0, 2, 0, 0, 0]
+
+    def test_enumeration_gets_no_order(self):
+        assert search._search_rows(CUBE, False, False)[4] == []
+
+    @pytest.mark.parametrize(
+        "g",
+        [PRISM, CUBE, build_multipartite(3, 2), build_multipartite(2, 4), build_circulant(10, [1, 2, 3])],
+        ids=["prism", "cube", "K3,3", "H(2,4)", "circ(10;1,2,3)"],
+    )
+    def test_first_hit_unchanged(self, g, monkeypatch):
+        # against the unpruned search; on circ(10;1,2,3) that takes minutes,
+        # so there the reference is the pruned search with the twin order alone
+        values = tuple(range(1, g.order + 1))
+        if g.order < 10:
+            slow = SearchConfig(prune=False)
+            assert find_labeling(g, values) == find_labeling(g, values, slow)
+            assert compute_index(g) == compute_index(g, slow)
+            return
+        fast = (find_labeling(g, values), compute_index(g))
+        monkeypatch.setattr(search, "_orbit_prev", lambda adj, colour: [-1] * len(adj))
+        assert orbit_prev(g) == [-1] * g.order
+        assert fast == (find_labeling(g, values), compute_index(g))
+
+    @pytest.mark.parametrize("g", [PRISM, CUBE, blowup(PRISM, 2)], ids=lambda g: g.name)
+    def test_capped_search_keeps_only_twins(self, g, monkeypatch):
+        # a level whose search runs out of nodes keeps no orbit, and a graph
+        # past the size limit keeps only the swaps inside blocks; these have
+        # no true twins in the quotient, so both leave the false-twin chain
+        values = tuple(range(1, g.order + 1))
+        want = (find_labeling(g, values), compute_index(g))
+        twin_chain = [
+            max((u for u in range(v) if g.neighbors(u) == g.neighbors(v)), default=-1)
+            for v in range(g.order)
+        ]
+        for name in ("_ORBIT_NODE_CAP", "_ORBIT_MAX_ORDER"):
+            with monkeypatch.context() as patch:
+                patch.setattr(search, name, 0)
+                assert orbit_prev(g) == twin_chain
+                assert (find_labeling(g, values), compute_index(g)) == want
 
 
 class TestComputeIndex:
@@ -711,3 +836,32 @@ class TestTwins:
 
     def test_octahedron_has_none(self):
         assert adjacent_twins(build_multipartite(2, 3)) is None
+
+    # several adjacent-twin pairs: the first by u, then by v, is returned,
+    # although a later u may close its pair at a smaller v
+    PAIRS = [
+        (build_multipartite(1, 4), (0, 1)),
+        # N[0] = N[4] = {0, 3, 4} and N[1] = N[2] = {1, 2, 3}
+        (Graph(5, [(0, 3), (0, 4), (3, 4), (1, 2), (1, 3), (2, 3)]), (0, 4)),
+        # N[0] = N[3] = N[5] = {0, 3, 5}, N[1] = N[2] = {1, 2, 4}
+        (Graph(6, [(0, 3), (0, 5), (3, 5), (1, 2), (1, 4), (2, 4)]), (0, 3)),
+        # the same pairs on the other ids: 1 and 2 come first now
+        (Graph(6, [(1, 3), (1, 5), (3, 5), (0, 2), (0, 4), (2, 4)]), (0, 2)),
+        (lex_product(build_cycle(4), build_multipartite(1, 3)), (0, 1)),
+    ]
+
+    @pytest.mark.parametrize("g,pair", PAIRS)
+    def test_first_pair(self, g, pair):
+        assert adjacent_twins(g) == pair
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=st.one_of(_small_graph(), _graph_with_twins()))
+    def test_first_pair_by_definition(self, g):
+        nbhd = [set(g.neighbors(u)) for u in range(g.order)]
+        pairs = [
+            (u, v)
+            for u in range(g.order)
+            for v in g.neighbors(u)
+            if u < v and nbhd[u] - {v} == nbhd[v] - {u}
+        ]
+        assert adjacent_twins(g) == min(pairs, default=None)

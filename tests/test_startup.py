@@ -153,6 +153,11 @@ FOOTPRINT = {
         ["rect", "--case", "complement", "--input", "{case1}"],
         {"magiclab.graphs", "magiclab.labeling", "magiclab.families", "magiclab.search"},
     ),
+    # the size limit of a built rectangle comes without the graph readers
+    "rect-build": (
+        ["rect", "--case", "3", "--n", "7", "--m", "2"],
+        {"magiclab.graphs", "magiclab.labeling", "magiclab.families", "magiclab.search"},
+    ),
 }
 
 
