@@ -32,6 +32,7 @@ def backtrack(
     plus=(),
     minus=(),
     twin_prev=(),
+    targets=(),
 ):
     """Depth-first search for magic assignments in lexicographic order.
 
@@ -39,20 +40,21 @@ def backtrack(
     permutation of `labels`.  Vertices 0 .. n-1, with n = len(labels), are
     assigned in id order, labels tried in ascending order, so accepted
     assignments appear sorted by the label vector.  `labels` must be sorted
-    ascending.  indptr, nbrs, labels and twin_prev may each be a list or a
-    numpy array of integers; each is copied into a list of Python ints on
-    entry, and a float raises ValueError instead of being truncated.  The
-    nine leading parameters and the returned 4-tuple stay as they are: the
-    warm-up in perfbench/run.py passes those nine by position, and its
-    tracer unpacks the return.
+    ascending.  indptr, nbrs, labels, twin_prev and targets may each be a
+    list or a numpy array of integers; each is copied into a list of Python
+    ints on entry, and a float raises ValueError instead of being
+    truncated.  The nine leading parameters and the returned 4-tuple stay
+    as they are: the warm-up in perfbench/run.py passes those nine by
+    position, and its tracer unpacks the return.
 
     (indptr, nbrs) are the weight rows in CSR form: row k is the vertex set
     nbrs[indptr[k]:indptr[k+1]], and an assignment is magic when every row
     has the same label sum.  With have_c, each row must sum to c_init.  The
     search builds one row per false-twin class; the CSR adjacency of the
     graph is valid too, one row per vertex, where twins only repeat a row.
-    Extra rows target 0 and are given by vertex: plus[v] and minus[v] list
-    the rows that vertex v enters with sign +1 and with sign -1.  Optional
+    Extra rows are given by vertex: plus[v] and minus[v] list the rows that
+    vertex v enters with sign +1 and with sign -1.  Row r must sum to
+    targets[r], and to 0 when r is past the end of targets.  Optional
     twin_prev[v] >= 0 names an earlier vertex whose label must be smaller
     than v's, so the label scan of v starts just after it.  A first hit
     passes the lex-leader order of the graph's stabiliser chain: v's
@@ -105,11 +107,12 @@ def backtrack(
     nrows = 1 + max((r for vrows in (*plus, *minus) for r in vrows), default=-1)
     rows = prune and nrows > 0
     if rows:
-        # per extra row: the signed sum of its assigned labels, and how many
-        # of its + and - entries are unassigned
-        rsum = [0] * nrows
-        npos = rsum[:]
-        nneg = rsum[:]
+        # per extra row: the signed sum of its assigned labels less its
+        # target, and how many of its + and - entries are unassigned
+        npos = [0] * nrows
+        nneg = npos[:]
+        rsum = [-t for t in _integers(targets)]
+        rsum += npos[len(rsum) :]
         for vrows in plus:
             for r in vrows:
                 npos[r] += 1
@@ -264,6 +267,9 @@ def _row_window(labels, used, first, prow, mrow, rsum, npos, nneg):
 
 def _narrow(lo, hi, a, b, prow, mrow, rsum, npos, nneg):
     """[lo, hi] cut to the labels with which every row can still reach 0.
+
+    rsum[r] holds row r's signed sum less its target, so 0 is every row's
+    goal.
 
     Row r of prow, with p open + entries and m open - entries after the
     vertex, each in [a, b], can reach 0 only when

@@ -14,6 +14,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import gcd
 from typing import Iterable
 
 from . import _kernels
@@ -108,72 +109,281 @@ def _forced_constant(degree: int | None, values: tuple[int, ...]) -> tuple[bool,
 
 
 def _search_rows(g: Graph, refs: bool, first_hit: bool) -> tuple[list, ...]:
-    """Kernel inputs (indptr, nbrs, plus, minus, prev) for a search of g.
+    """Kernel inputs (indptr, nbrs, plus, minus, prev, targets) for a search of g.
 
     False twins (N(u) = N(v)) always weigh the same, so the weight rows
     (indptr, nbrs) hold one row per false-twin class, in CSR form: N(u) for
     the class's first vertex u, classes in the order of those vertices.
 
-    Extra rows target 0 and reach the kernel by vertex: plus[x] and minus[x]
-    list, in increasing order, the rows that x enters with sign +1 and -1.
-    In a magic labeling w(u) = w(v), so the labels on N(u)-N(v) and on
-    N(v)-N(u) have equal sums, and the kernel can cut a partial row by the
-    unused labels.  Difference rows, for a first hit: a pair of classes gets
-    that row when its two sides hold no more vertices together than the
-    larger neighborhood.  Longer rows cost a check at every vertex they
-    hold and rarely cut: on the benchmark's oracle corpus, keeping every
-    pair saves under 1% of the nodes and takes about 25% longer.  Each
-    distinct row is kept once, a row and its sign flip being the same row.
-    Reference rows, with refs, when no degree forces the constant: the pair
-    (u, ref) for every class u other than ref, the class whose neighborhood
-    is labeled first (the smallest largest neighbor), after the difference
-    rows.  They all hold exactly when every weight is equal.
+    Extra rows reach the kernel by vertex: plus[x] and minus[x] list, in
+    increasing order, the rows that x enters with sign +1 and -1.  Row r
+    must sum to c*t/d for the magic constant c when r < len(targets) and
+    targets[r] = (t, d), and every later row must sum to 0; _row_targets
+    makes the kernel's integers.
+    - Targeted rows, for a first hit on a regular graph, come first: the
+      +-1 rows that the class sums must meet (_class_sum_rows), less any
+      that repeats a difference row.
+    - Difference rows, for a first hit: in a magic labeling w(u) = w(v), so
+      the labels on N(u)-N(v) and on N(v)-N(u) have equal sums, and the
+      kernel can cut a partial row by the unused labels.  A pair of classes
+      gets that row when its two sides hold no more vertices together than
+      the larger neighborhood.  Longer rows cost a check at every vertex
+      they hold and rarely cut: on the benchmark's oracle corpus, keeping
+      every pair saves under 1% of the nodes and takes about 25% longer.
+      Each distinct row is kept once, a row and its sign flip being the
+      same row.
+    - Reference rows, with refs, when no degree forces the constant: the
+      pair (u, ref) for every class u other than ref, the class whose
+      neighborhood is labeled first (the smallest largest neighbor).  They
+      all hold exactly when every weight is equal.
 
     For a first hit, prev is the lex-leader order of the stabiliser chain
-    (Crawford, Ginsberg, Luks & Roy, KR 1996).  An automorphism s of g maps
-    a magic labeling f to the magic labeling f o s, so the lexicographically
-    first f has f(i) < f(j) whenever some automorphism fixing 0 .. i-1
-    sends i to j.  prev[j] is the largest such i < j, or -1, and the kernel
-    scans j's labels from just above i's.  That single predecessor implies
-    every such constraint on j: if i1 < i2 both reach j, then i1 reaches i2.
-    The orbits come from the false-twin quotient (_lex_leader_prev), and
-    the kernel still finds the lexicographically first witness.
-    Enumeration gets no order.
+    (_lex_leader_prev), and the kernel still finds the lexicographically
+    first witness.  Enumeration gets no order and no extra rows but
+    reference rows.
     """
     n = g.order
     # the false-twin class of every vertex, numbered by first vertex
     classes: dict[tuple[int, ...], int] = {}
     cls = [classes.setdefault(g.neighbors(v), len(classes)) for v in range(n)]
     weight_rows = list(classes)
-    nbhd = [set(row) for row in weight_rows]
-    sides: list[tuple[set, set]] = []
-    if first_hit:
-        # a row and its sign flip are one row, keyed by its two sides
-        seen: set[frozenset] = set()
-        for (nu, du), (nv, dv) in combinations(zip(nbhd, map(len, weight_rows)), 2):
-            pos, neg = nu - nv, nv - nu
-            if len(pos) + len(neg) <= max(du, dv):
-                key = frozenset((frozenset(pos), frozenset(neg)))
-                if key not in seen:
-                    seen.add(key)
-                    sides.append((pos, neg))
-    if refs:
-        ref = nbhd[min(range(len(nbhd)), key=lambda k: max(weight_rows[k], default=-1))]
-        sides += [(nu - ref, ref - nu) for nu in nbhd if nu != ref]
-    plus: list[list[int]] = [[] for _ in range(n)]
-    minus: list[list[int]] = [[] for _ in range(n)]
-    for r, (pos, neg) in enumerate(sides):
-        for x in pos:
-            plus[x].append(r)
-        for x in neg:
-            minus[x].append(r)
     indptr = list(accumulate(map(len, weight_rows), initial=0))
     nbrs = [x for row in weight_rows for x in row]
-    return indptr, nbrs, plus, minus, _lex_leader_prev(cls, weight_rows) if first_hit else []
+    plus: list[list[int]] = [[] for _ in range(n)]
+    minus: list[list[int]] = [[] for _ in range(n)]
+    prev: list[int] = []
+    targets: list[tuple[int, int]] = []
+    if not (refs or first_hit):
+        return indptr, nbrs, plus, minus, prev, targets
+    # neighborhoods as bit masks of vertices; each holds whole classes
+    bit = [1 << x for x in range(n)]
+    nbhd = [sum(map(bit.__getitem__, row)) for row in weight_rows]
+    # each side of an extra row as a bit mask of vertices
+    sides: list[tuple[int, int]] = []
+    if first_hit:
+        # a row and its sign flip are one row, keyed by its two sides
+        pairs: dict[tuple[int, int], None] = {}
+        for (nu, du), (nv, dv) in combinations(zip(nbhd, map(len, weight_rows)), 2):
+            if (nu ^ nv).bit_count() <= max(du, dv):
+                pos, neg = nu & ~nv, nv & ~nu
+                pairs[(pos, neg) if pos < neg else (neg, pos)] = None
+        prev, members, adj = _lex_leader_prev(cls, weight_rows)
+        rows = []
+        # on a regular graph every weight is the forced constant c, and a
+        # quotient component of at most two classes gives only weight rows
+        # (s_b = c and s_a = c for the edge ab)
+        if (
+            len(adj) <= _CLASS_ROWS_MAX
+            and len(set(map(len, weight_rows))) == 1
+            and max(map(int.bit_count, adj)) > 1
+        ):
+            rows = _class_sum_rows(adj, members, weight_rows)
+        for pos, neg, t, d in rows:
+            if t or ((pos, neg) if pos < neg else (neg, pos)) not in pairs:
+                sides.append((pos, neg))
+                targets.append((t, d))
+        sides += pairs
+    if refs:
+        ref = nbhd[min(range(len(nbhd)), key=lambda k: max(weight_rows[k], default=-1))]
+        sides += [(nu & ~ref, ref & ~nu) for nu in nbhd if nu != ref]
+    for r, (pos, neg) in enumerate(sides):
+        while pos:
+            low = pos & -pos
+            plus[low.bit_length() - 1].append(r)
+            pos ^= low
+        while neg:
+            low = neg & -neg
+            minus[low.bit_length() - 1].append(r)
+            neg ^= low
+    return indptr, nbrs, plus, minus, prev, targets
 
 
-def _lex_leader_prev(cls: list[int], weight_rows: list[tuple[int, ...]]) -> list[int]:
+def _row_targets(targets: list[tuple[int, int]], c: int) -> list[int] | None:
+    """The kernel's integer targets c*t/d, or None when one is fractional.
+
+    Every magic labeling meets every row, so a fractional target means the
+    label set has none.
+    """
+    out = []
+    for t, d in targets:
+        q, rest = divmod(t * c, d)
+        if rest:
+            return None
+        out.append(q)
+    return out
+
+
+# a quotient with more classes gets no targeted rows: the elimination is
+# cubic in the class count, and skipping rows only drops constraints
+_CLASS_ROWS_MAX = 64
+
+
+def _class_sum_rows(
+    adj: list[int], members: list[list[int]], weight_rows: list[tuple[int, ...]]
+) -> list[tuple[int, int, int, int]]:
+    """The +-1 rows with known targets that the class sums must meet.
+
+    adj[k] is the neighborhood of false-twin class k as a bit mask of
+    classes, members[k] the vertices of class k in increasing order, and
+    weight_rows[k] the neighborhood as vertices, on a regular graph of
+    degree r.  Every weight of a magic labeling is then the forced constant
+    c, so its class sums s solve M s = c 1, where row k of M is adj[k].
+    The system is reduced exactly (_eliminate), with the classes ordered by
+    last vertex, latest first: the free columns are then the classes
+    labeled first, and each reduced row is complete as early in the vertex
+    order as it can be.  A reduced row a.s = t c whose nonzero a are all
+    +d or -d gives (pos, neg, t', d'): the labels on the vertices of the
+    bit mask pos less those on neg sum to c*t'/d', with t'/d' = t/d in
+    lowest terms and d' > 0.  A row that repeats a weight row is dropped.
+
+    M times the class sizes is r * 1, so when M is nonsingular the reduced
+    rows are s_k = c * |class k| / r, with no elimination when the shape of
+    the quotient proves M nonsingular (_nonsingular_shape).
+    """
+    degree = len(weight_rows[0])
+    if _nonsingular_shape(adj):
+        rows = []
+        for k, twins in enumerate(members):
+            e = gcd(len(twins), degree)
+            # s_k = c repeats the weight row of a class whose one neighbor is k
+            if len(twins) != degree or 1 << k not in adj:
+                rows.append((sum(map((1).__lshift__, twins)), 0, len(twins) // e, degree // e))
+        return rows
+    m = len(adj)
+    cols = sorted(range(m), key=lambda k: members[k][-1], reverse=True)
+    # a minor is at most the product of its rows' lengths (Hadamard), and a
+    # field holds a product of two minors and their difference
+    w = m * (max(map(int.bit_count, adj)) + 1).bit_length() + 4
+    place = [0] * sum(map(len, members))
+    # column j is class cols[j], and column m is the 1; a row holds whole
+    # classes, so its first vertices place each class
+    for j, k in enumerate(cols):
+        place[members[k][0]] = 1 << (w * j)
+    one = 1 << (w * m)
+    rank, packed = _eliminate([sum(map(place.__getitem__, row)) + one for row in weight_rows], w)
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    # adding half to every field reads each as a nonnegative number
+    off = half * ((one << w) - 1) // mask
+    rows = []
+    for row in packed[:rank]:
+        row += off
+        coef = [(row >> (w * j) & mask) - half for j in range(m + 1)]
+        t = coef.pop()
+        d = max(map(abs, coef))
+        pos = neg = 0
+        for k, x in zip(cols, coef):
+            if x == d:
+                pos |= 1 << k
+            elif x == -d:
+                neg |= 1 << k
+            elif x:
+                break
+        else:
+            e = gcd(t, d)
+            t //= e
+            d //= e
+            if neg or t != d or pos not in adj:
+                rows.append((_vertices(members, pos), _vertices(members, neg), t, d))
+    return rows
+
+
+def _nonsingular_shape(adj: list[int]) -> bool:
+    """True when the shape of the graph with these bit-mask rows proves its
+    adjacency matrix M nonsingular; False decides nothing.
+
+    Two shapes, those of the quotients of the paper's graphs:
+    - disjoint cliques of two or more vertices, as for a complete
+      multipartite graph or a union of them: M is J - I on each clique,
+      whose eigenvalues are p - 1 and -1;
+    - disjoint cycles, as for C_p[K̄n]: the eigenvalues of C_p are
+      2 cos(2 pi j / p), and 0 is one exactly when 4 divides p.
+    """
+    if all(adj) and sum(map(int.bit_count, {a | 1 << k for k, a in enumerate(adj)})) == len(adj):
+        # every closed neighborhood is a block of one partition
+        return True
+    if any(a.bit_count() != 2 for a in adj):
+        return False
+    left = (1 << len(adj)) - 1
+    while left:
+        # walk the cycle through the first vertex left, taking it out
+        start = (left & -left).bit_length() - 1
+        back, here = start, (adj[start] & -adj[start]).bit_length() - 1
+        left ^= 1 << start
+        length = 1
+        while here != start:
+            left ^= 1 << here
+            length += 1
+            back, here = here, (adj[here] & ~(1 << back)).bit_length() - 1
+        if length % 4 == 0:
+            return False
+    return True
+
+
+def _vertices(members: list[list[int]], classes: int) -> int:
+    """The vertices of the classes in a bit mask, as a bit mask."""
+    out = 0
+    while classes:
+        low = classes & -classes
+        out |= sum(map((1).__lshift__, members[low.bit_length() - 1]))
+        classes ^= low
+    return out
+
+
+def _eliminate(rows: list[int], w: int) -> tuple[int, list[int]]:
+    """(rank, rows): a matrix in reduced echelon form, up to row scaling.
+
+    Each row is packed in one integer, column j in the w-bit field at bit
+    w*j, as a signed number: the integer is the sum of entry j * 2^(w*j).
+    Such integers add, scale and divide exactly as their rows do while every
+    entry stays below 2^(w-1) in size, so a row operation is a few integer
+    operations whatever the number of columns.  The elimination is without
+    fractions (Bareiss, Math. Comp. 22, 1968, with each row reduced against
+    every pivot for the Gauss-Jordan form): every entry it forms is a minor
+    of the matrix, so each division is exact.  Pivots are positive, and the
+    first `rank` rows hold them; there is one more column than rows, which
+    never holds a pivot of [M | 1].  rows is reduced in place.
+    """
+    m = len(rows)
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    off = half * ((1 << (w * (m + 1))) - 1) // mask
+    prev = 1
+    rank = 0
+    for j in range(m):
+        shift = w * j
+        piv = rank
+        while piv < m and (rows[piv] + off) >> shift & mask == half:
+            piv += 1
+        if piv == m:
+            continue
+        p = rows[piv]
+        a = ((p + off) >> shift & mask) - half
+        if a < 0:
+            p, a = -p, -a
+        rows[piv] = rows[rank]
+        rows[rank] = p
+        for i, row in enumerate(rows):
+            if i != rank:
+                b = ((row + off) >> shift & mask) - half
+                rows[i] = (a * row - b * p) // prev
+        prev = a
+        rank += 1
+    return rank, rows
+
+
+def _lex_leader_prev(
+    cls: list[int], weight_rows: list[tuple[int, ...]]
+) -> tuple[list[int], list[list[int]], list[int]]:
     """The stabiliser-chain predecessor of every vertex, from its twin classes.
+
+    This is the lex-leader order (Crawford, Ginsberg, Luks & Roy, KR 1996).
+    An automorphism s of g maps a magic labeling f to the magic labeling
+    f o s, so the lexicographically first f has f(i) < f(j) whenever some
+    automorphism fixing 0 .. i-1 sends i to j.  prev[j] is the largest such
+    i < j, or -1, and the kernel scans j's labels from just above i's.
+    That single predecessor implies every such constraint on j: if i1 < i2
+    both reach j, then i1 reaches i2.
 
     cls[v] is v's false-twin class and weight_rows[c] the neighborhood of
     class c, classes numbered by first vertex.  Every automorphism of g maps
@@ -185,29 +395,31 @@ def _lex_leader_prev(cls: list[int], weight_rows: list[tuple[int, ...]]) -> list
     class c reaches every vertex of the classes that c reaches in Q under
     the automorphisms fixing classes 0 .. c-1, and its predecessor is the
     first vertex of the last class whose orbit holds c.
+
+    Returns (prev, members, adj): the predecessors, the vertices of each
+    class in increasing order, and Q's adjacency, each class's neighbor
+    classes as a bit mask.
     """
     n = len(cls)
     m = len(weight_rows)
     prev = [-1] * n
-    last = [-1] * m
-    size = [0] * m
-    heads: list[int] = []
+    members: list[list[int]] = [[] for _ in range(m)]
     # a row holds whole classes, so its first vertices name each class once
     head_bit = [0] * n
     for v, c in enumerate(cls):
-        if last[c] < 0:
-            heads.append(v)
+        twins = members[c]
+        if twins:
+            prev[v] = twins[-1]
+        else:
             head_bit[v] = 1 << c
-        prev[v] = last[c]
-        last[c] = v
-        size[c] += 1
+        twins.append(v)
     adj = [sum(map(head_bit.__getitem__, row)) for row in weight_rows]
     # degree and class size; every automorphism keeps both
-    colour = list(zip(map(len, weight_rows), size))
+    colour = list(zip(map(len, weight_rows), map(len, members)))
     for c, i in enumerate(_orbit_prev(adj, colour)):
         if i >= 0:
-            prev[heads[c]] = heads[i]
-    return prev
+            prev[members[c][0]] = members[i][0]
+    return prev, members, adj
 
 
 def _orbit_prev(adj: list[int], colour: list) -> list[int]:
@@ -396,9 +608,12 @@ class _Kernel:
     they count against it; the node budget is shared by every run().
     Each label set's forced constant comes from the regular degree found
     here; an irregular graph gets reference rows instead.  `first_hit` asks
-    for the difference rows and the lex-leader order of _search_rows, built
-    here too, so their time counts against budget_ms.  Extra rows apply
-    only when pruning.
+    for the targeted and difference rows and the lex-leader order of
+    _search_rows, built here too, so their time counts against budget_ms.
+    run() turns each targeted row's fraction of the constant into an
+    integer target, and a fractional one settles the label set without a
+    kernel call, as a fractional constant does.  Extra rows apply only
+    when pruning.
     """
 
     def __init__(self, g: Graph, cfg: SearchConfig, first_hit: bool):
@@ -424,10 +639,14 @@ class _Kernel:
         have_c, c = _forced_constant(self.degree, values)
         if have_c and c < 0:
             return []
-        indptr, nbrs, *extra = self.inputs
+        indptr, nbrs, plus, minus, prev, targets = self.inputs
+        if targets:
+            targets = _row_targets(targets, c)
+            if targets is None:
+                return []
         status, nodes, count, out = _kernels.backtrack(
             indptr, nbrs, values, have_c, c, self.cfg.prune, self.nodes_left,
-            stop_after, stop_after, *extra,
+            stop_after, stop_after, plus, minus, prev, targets,
         )
         if status == _kernels.STATUS_NODE_LIMIT:
             raise SearchBudgetExceeded(f"node budget {self.cfg.node_limit} exhausted")

@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -219,17 +221,22 @@ class TestListKernel:
     )
     def test_arrays_and_lists_agree(self, g, values, rows, limit):
         refs = regular_degree(g) is None
-        indptr, nbrs, plus, minus, twin_prev = search._search_rows(g, refs, rows)
+        indptr, nbrs, plus, minus, twin_prev, targets = search._search_rows(g, refs, rows)
         forced = search._forced_constant(regular_degree(g), values)
+        # C6[K2] has a targeted row per fiber, c/2 = 13 on 1..12; the
+        # prism's constant 10.5 is fractional
+        targets = search._row_targets(targets, forced[1]) if forced[1] >= 0 else []
+        assert bool(targets) == (g.name == "C(6)[E(2)]")
         for (have_c, c), prune in product([(False, 0), forced], (True, False)):
             as_arrays = _kernels.backtrack(
                 *(np.asarray(a, dtype=np.int64) for a in (indptr, nbrs, values)),
                 have_c, c, prune, limit,
                 2**62, 2**62, plus, minus, np.asarray(twin_prev, dtype=np.int64),
+                np.asarray(targets, dtype=np.int64),
             )
             as_lists = _kernels.backtrack(
                 indptr, nbrs, list(values), have_c, c, prune, limit,
-                2**62, 2**62, plus, minus, twin_prev,
+                2**62, 2**62, plus, minus, twin_prev, targets,
             )
             assert as_arrays == as_lists
             assert type(as_lists[3]) is list
@@ -258,16 +265,31 @@ class TestListKernel:
         with pytest.raises(ValueError, match="must be integers"):
             _kernels.backtrack(indptr, nbrs, [1.9, 2, 3, 4], False, 0, True, -1, 1, 1)
 
-    @pytest.mark.parametrize(
-        "g", [blowup(build_cycle(6), 2), build_multipartite(3, 4), K322, S4_2K1], ids=lambda g: g.name
-    )
-    def test_vertex_rows_and_class_rows_agree(self, g):
+    def test_float_targets_raise(self):
+        # the row f(0) + f(1) = 3.5 would read as 3 if truncated, and 1, 2
+        # would pass it
+        indptr, nbrs = build_cycle(4).csr()
+        args = (indptr, nbrs, [1, 2, 3, 4], True, 5, True, -1, 1, 1, [[0], [0], [], []], [[]] * 4, [])
+        assert _kernels.backtrack(*args, [3])[2] == 1
+        with pytest.raises(ValueError, match="must be integers"):
+            _kernels.backtrack(*args, [3.5])
+
+    ROW_CASES = [
+        (blowup(build_cycle(6), 2), tuple(range(1, 13))),
+        # each part sums to c/3 = 20 on 1..13 without 11
+        (build_multipartite(3, 4), LabelSet.without(13, 11).values),
+        (K322, tuple(range(1, 8))),
+        (S4_2K1, tuple(range(1, 8))),
+    ]
+
+    @pytest.mark.parametrize("g,values", ROW_CASES, ids=[g.name for g, _ in ROW_CASES])
+    def test_vertex_rows_and_class_rows_agree(self, g, values):
         # the CSR adjacency repeats a weight row for every twin, and a
         # repeated row prunes and accepts exactly what the first one does
-        values = tuple(range(1, g.order + 1))
         forced = search._forced_constant(regular_degree(g), values)
         for first_hit in (True, False):
-            indptr, nbrs, *extra = search._search_rows(g, regular_degree(g) is None, first_hit)
+            indptr, nbrs, plus, minus, prev, targets = search._search_rows(g, regular_degree(g) is None, first_hit)
+            extra = (plus, minus, prev, search._row_targets(targets, forced[1]))
             assert len(indptr) < g.order + 1
             for (have_c, c), prune in product([(False, 0), forced], (True, False)):
                 args = (values, have_c, c, prune, 5_000, 2**62, 2**62, *extra)
@@ -367,9 +389,13 @@ class TestNaiveOracleAgreement:
         assert got == naive_enumerate(g, values)
 
 
-def _row_sides(g: Graph) -> list[frozenset]:
-    """Each difference row of _search_rows as the pair {+ side, - side}."""
-    _, _, plus, minus, _ = search._search_rows(g, False, True)
+def _row_sides(g: Graph) -> tuple[list[tuple], list[frozenset]]:
+    """The extra rows of _search_rows for a first hit, by kind.
+
+    Targeted rows come first, each as (+ side, - side, t, d) for the target
+    c*t/d; then each difference row as the pair {+ side, - side}.
+    """
+    _, _, plus, minus, _, targets = search._search_rows(g, False, True)
     sides: dict[int, tuple[set, set]] = {}
     for x in range(g.order):
         for r in plus[x]:
@@ -377,31 +403,44 @@ def _row_sides(g: Graph) -> list[frozenset]:
         for r in minus[x]:
             sides.setdefault(r, (set(), set()))[1].add(x)
     assert sorted(sides) == list(range(len(sides)))
-    return [frozenset((frozenset(pos), frozenset(neg))) for pos, neg in sides.values()]
+    rows = [tuple(map(frozenset, sides[r])) for r in range(len(sides))]
+    targeted = [(*row, *target) for row, target in zip(rows, targets)]
+    return targeted, [frozenset(row) for row in rows[len(targets):]]
+
+
+def _parts(size: int, count: int, t: int, d: int) -> list[tuple]:
+    """Targeted rows: each block of `size` consecutive vertices sums to c*t/d."""
+    return [(frozenset(range(k * size, (k + 1) * size)), frozenset(), t, d) for k in range(count)]
 
 
 class TestPruningRows:
-    """Each distinct difference row reaches the kernel once."""
+    """Each distinct difference row reaches the kernel once, after the
+    targeted rows that the class sums imply."""
 
     COUNTS = [
-        (build_multipartite(3, 4), 6),
-        (build_multipartite(4, 3), 3),
-        (build_multipartite(2, 6), 15),
-        (blowup(PRISM, 2), 3),
-        (blowup(build_cycle(6), 2), 6),
+        # each part of H(n,p) sums to c/(p-1), each fiber of C6[K2] to c/2,
+        # and the first triangle of the prism[K2] to c
+        (build_multipartite(3, 4), 6, _parts(3, 4, 1, 3)),
+        (build_multipartite(4, 3), 3, _parts(4, 3, 1, 2)),
+        (build_multipartite(2, 6), 15, _parts(2, 6, 1, 5)),
+        (blowup(PRISM, 2), 3, _parts(6, 1, 1, 1)),
+        (blowup(build_cycle(6), 2), 6, _parts(2, 6, 1, 2)),
     ]
 
-    @pytest.mark.parametrize("g,count", COUNTS, ids=lambda x: getattr(x, "name", str(x)))
-    def test_row_counts(self, g, count):
-        assert len(_row_sides(g)) == count
+    @pytest.mark.parametrize("g,count,targeted", COUNTS, ids=[f"{g.name}-{count}" for g, count, _ in COUNTS])
+    def test_row_counts(self, g, count, targeted):
+        got, pairwise = _row_sides(g)
+        assert len(pairwise) == count
+        assert len(got) == len(targeted) and set(got) == set(targeted)
 
     @pytest.mark.parametrize(
-        "g", [g for g, _ in COUNTS] + [PRISM, CUBE, P4_K1, G10, K322],
+        "g", [g for g, _, _ in COUNTS] + [PRISM, CUBE, P4_K1, G10, K322],
         ids=lambda g: g.name,
     )
     def test_distinct_rows_once_each(self, g):
-        # a row and its sign flip are the same row
-        rows = _row_sides(g)
+        # a row and its sign flip are the same row, and a targeted row with
+        # target 0 does not repeat a difference row
+        targeted, rows = _row_sides(g)
         assert len(set(rows)) == len(rows)
         nbhd = [set(g.neighbors(u)) for u in range(g.order)]
         wanted = {
@@ -411,6 +450,11 @@ class TestPruningRows:
             if 0 < len(nbhd[u] ^ nbhd[v]) <= max(len(nbhd[u]), len(nbhd[v]))
         }
         assert set(rows) == wanted
+        assert not {frozenset((pos, neg)) for pos, neg, t, _ in targeted if t == 0} & wanted
+        # a targeted row repeats no weight row
+        assert not {(pos, neg, t, d) for pos, neg, t, d in targeted} & {
+            (frozenset(row), frozenset(), 1, 1) for row in nbhd
+        }
 
 
 class TestPruningEquivalence:
@@ -442,16 +486,22 @@ class TestPruningEquivalence:
             tuple(range(2, n + 2)),
             tuple(v for v in range(1, n + 2) if v != n),
         ]
-        indptr, nbrs, plus, minus, _ = search._search_rows(g, False, True)
+        indptr, nbrs, plus, minus, _, targets = search._search_rows(g, False, True)
         for values in sets:
             fast = enumerate_labelings(g, values, SearchConfig(prune=True))
             slow = enumerate_labelings(g, values, SearchConfig(prune=False))
             assert [x.labels for x in fast] == [x.labels for x in slow]
-            # the difference rows alone never drop a magic labeling
+            have_c, c = search._forced_constant(regular_degree(g), values)
+            row_targets = search._row_targets(targets, c)
+            if have_c and c < 0 or row_targets is None:
+                # a fractional constant or target: no magic labeling
+                assert slow == []
+                continue
+            # the extra rows alone never drop a magic labeling
             labels = np.asarray(values, dtype=np.int64)
             _, _, count, out = _kernels.backtrack(
                 indptr, nbrs, labels, False, 0, True, -1, 2**62, len(slow) + 1,
-                plus, minus,
+                plus, minus, (), row_targets,
             )
             rows = [tuple(out[k * n : (k + 1) * n]) for k in range(count)]
             assert rows == [x.labels for x in slow]
@@ -596,17 +646,17 @@ class TestFirstHitEquivalence:
     # exact node counts: the search succeeds at the pinned budget, not one below
     def test_h26_exact_inside_node_budget(self):
         g = build_multipartite(2, 6)
-        res = compute_index(g, SearchConfig(node_limit=245))
+        res = compute_index(g, SearchConfig(node_limit=12))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7)
-        assert compute_index(g, SearchConfig(node_limit=244)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=11)).kind == "indeterminate"
 
     def test_h34_exact_inside_node_budget(self):
         g = build_multipartite(3, 4)
-        res = compute_index(g, SearchConfig(node_limit=1_246))
+        res = compute_index(g, SearchConfig(node_limit=13))
         assert res.kind == "finite" and res.theta == 1
         assert res.witness.labels == (1, 6, 13, 2, 8, 10, 3, 5, 12, 4, 7, 9)
-        assert compute_index(g, SearchConfig(node_limit=1_245)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=12)).kind == "indeterminate"
 
     def test_irregular_exact_inside_node_budget(self):
         # G10 is irregular, and N(9) is inside N(8): their difference row
@@ -617,25 +667,255 @@ class TestFirstHitEquivalence:
 
     def test_prism_k2_exact_inside_node_budget(self):
         g = blowup(PRISM, 2)
-        res = compute_index(g, SearchConfig(node_limit=1_169))
+        res = compute_index(g, SearchConfig(node_limit=251))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 4, 5, 8, 9, 12, 2, 3, 6, 7, 10, 11)
-        assert compute_index(g, SearchConfig(node_limit=1_168)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=250)).kind == "indeterminate"
 
     def test_h43_exact_inside_node_budget(self):
         g = build_multipartite(4, 3)
-        res = compute_index(g, SearchConfig(node_limit=870))
+        res = compute_index(g, SearchConfig(node_limit=12))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 2, 11, 12, 3, 4, 9, 10, 5, 6, 7, 8)
-        assert compute_index(g, SearchConfig(node_limit=869)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=11)).kind == "indeterminate"
 
     def test_c6k2_exact_inside_node_budget(self):
         g = blowup(build_cycle(6), 2)
         values = tuple(range(1, 13))
-        hit = find_labeling(g, values, SearchConfig(node_limit=2_272))
+        hit = find_labeling(g, values, SearchConfig(node_limit=12))
         assert hit is not None and hit == find_labeling(g, values)
         with pytest.raises(SearchBudgetExceeded):
-            find_labeling(g, values, SearchConfig(node_limit=2_271))
+            find_labeling(g, values, SearchConfig(node_limit=11))
+
+
+@st.composite
+def _regular_graph(draw):
+    """A regular graph of order <= 8, its vertices relabelled: a circulant,
+    a blow-up B[K2] of one of order <= 4, two copies of one, or a random
+    pairing of r stubs per vertex."""
+    kind = draw(st.integers(0, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = set()
+    if kind == 3:
+        n = draw(st.integers(4, 8))
+        r = draw(st.integers(1, n - 1).filter(lambda r: n * r % 2 == 0))
+        for _ in range(50):
+            stubs = [v for v in range(n) for _ in range(r)]
+            rng.shuffle(stubs)
+            edges = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+            if len(edges) == n * r // 2 and all(u != v for u, v in edges):
+                break
+        else:
+            kind = 0
+    if kind < 3:
+        b = draw(st.integers(3, 8 if kind == 0 else 4))
+        steps = draw(st.sets(st.integers(1, b // 2), min_size=1, max_size=3))
+        base = Graph(b, sorted({tuple(sorted((u, (u + d) % b))) for u in range(b) for d in steps}))
+        g = [base, blowup(base, 2), disjoint_union(base, 2)][kind]
+        n = g.order
+        edges = set(g.edges())
+    order = draw(st.permutations(range(n)))
+    return Graph(n, sorted(tuple(sorted((order[u], order[v]))) for u, v in edges), "regular")
+
+
+def _targeted_rows(g: Graph) -> list[tuple[list[int], list[int], int, int]]:
+    """The targeted rows of a first hit: (+ vertices, - vertices, t, d)."""
+    _, _, plus, minus, _, targets = search._search_rows(g, False, True)
+    rows = [([], [], t, d) for t, d in targets]
+    for x in range(g.order):
+        for r in plus[x]:
+            if r < len(rows):
+                rows[r][0].append(x)
+        for r in minus[x]:
+            if r < len(rows):
+                rows[r][1].append(x)
+    return rows
+
+
+def _rref(matrix: list[list[int]], pivots: int) -> tuple[int, list[list[Fraction]]]:
+    """(rank, rows): the reduced row echelon form in Fractions, pivots 1,
+    with pivots in the first `pivots` columns only."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    rank = 0
+    for j in range(pivots):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [x / rows[rank][j] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                rows[i] = [x - rows[i][j] * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, rows
+
+
+def _fraction_rows(g: Graph) -> set[tuple]:
+    """The targeted rows by their definition, in Fractions: the reduced
+    echelon form of M s = c 1 over the false-twin classes, columns by last
+    vertex, latest first; each row whose nonzero entries are all +d or -d,
+    as (+ vertices, - vertices, target / c), less the weight rows."""
+    n = g.order
+    nbhd = [g.neighbors(v) for v in range(n)]
+    heads = [v for v in range(n) if nbhd.index(nbhd[v]) == v]
+    members = {u: [v for v in range(n) if nbhd[v] == nbhd[u]] for u in heads}
+    cols = sorted(heads, key=lambda u: members[u][-1], reverse=True)
+    rank, rows = _rref([[int(u in nbhd[h]) for u in cols] + [1] for h in heads], len(cols))
+    weight = {(tuple(row), (), Fraction(1)) for row in nbhd}
+    out = set()
+    for *coef, t in rows[:rank]:
+        d = max(map(abs, coef))
+        if all(x in (0, d, -d) for x in coef):
+            pos = tuple(sorted(v for u, x in zip(cols, coef) if x == d for v in members[u]))
+            neg = tuple(sorted(v for u, x in zip(cols, coef) if x == -d for v in members[u]))
+            out.add((pos, neg, t / d))
+    return out - weight
+
+
+class TestClassSumRows:
+    """The +-1 rows that the class sums imply hold in every magic labeling."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=_regular_graph(), deleted=st.integers(1, 9))
+    def test_every_labeling_meets_every_targeted_row(self, g, deleted):
+        rows = _targeted_rows(g)
+        n = g.order
+        for pool in (LabelSet.natural(n), LabelSet.without(n + 1, min(deleted, n + 1))):
+            sols = enumerate_labelings(g, pool)
+            _, c = search._forced_constant(regular_degree(g), pool.values)
+            wanted = search._row_targets([(t, d) for *_, t, d in rows], c) if c >= 0 else None
+            if wanted is None:
+                # a fractional constant or target: no magic labeling
+                assert sols == []
+                continue
+            for sol in sols:
+                for (pos, neg, _, _), want in zip(rows, wanted):
+                    assert sum(sol[x] for x in pos) - sum(sol[x] for x in neg) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=_regular_graph())
+    def test_first_hit_equals_unpruned(self, g):
+        values = tuple(range(1, g.order + 1))
+        slow = SearchConfig(prune=False)
+        assert find_labeling(g, values) == find_labeling(g, values, slow)
+        assert compute_index(g) == compute_index(g, slow)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_regular_graph())
+    def test_rows_are_the_reduced_system(self, g):
+        got = {
+            (tuple(pos), tuple(neg), Fraction(t, d)) for pos, neg, t, d in _targeted_rows(g)
+        }
+        want = _fraction_rows(g)
+        # a targeted row with target 0 is dropped when it repeats a
+        # difference row, so only those may be missing
+        assert got <= want
+        assert all(target == 0 for _, _, target in want - got)
+
+    @pytest.mark.parametrize(
+        "g,count",
+        [
+            (build_cycle(6), 6),
+            (build_multipartite(3, 4), 4),
+            (blowup(PRISM, 2), 1),
+            (build_circulant(12, [1, 4]), 9),
+            (CUBE, 8),
+        ],
+        ids=lambda x: getattr(x, "name", str(x)),
+    )
+    def test_known_rows_against_fractions(self, g, count):
+        rows = _targeted_rows(g)
+        assert len(rows) == count
+        assert {(tuple(pos), tuple(neg), Fraction(t, d)) for pos, neg, t, d in rows} <= _fraction_rows(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [build_cycle(8), blowup(build_cycle(8), 3), build_multipartite(3, 2), disjoint_union(build_multipartite(2, 2), 3)],
+        ids=lambda g: g.name,
+    )
+    def test_no_new_row(self, g):
+        # C8 is singular and gives only weight rows; a quotient component
+        # of two classes gives weight rows alone
+        assert _targeted_rows(g) == []
+
+    def test_irregular_graph_gets_none(self):
+        for g in (P4_K1, G10, K322, STAR4):
+            assert _targeted_rows(g) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_elimination_matches_fractions(self, data):
+        # any 0/1 matrix M with a column of ones after it, packed as
+        # _class_sum_rows packs [M | 1]; pivots are taken in M only
+        m = data.draw(st.integers(1, 9))
+        matrix = [data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)) + [1] for _ in range(m)]
+        w = m * (max(map(sum, matrix)).bit_length()) + 4
+        rank, rows = search._eliminate([sum(x << (w * j) for j, x in enumerate(row)) for row in matrix], w)
+        want_rank, want = _rref(matrix, m)
+        assert rank == want_rank
+        half = 1 << (w - 1)
+        # half in every field, so that each reads as a nonnegative number
+        off = sum(half << (w * j) for j in range(m + 1))
+        coefs = [[((row + off) >> (w * j) & ((1 << w) - 1)) - half for j in range(m + 1)] for row in rows]
+        for coef, reduced in zip(coefs, want[:rank]):
+            pivot = next(x for x in coef if x)
+            assert pivot > 0
+            assert [Fraction(x, pivot) for x in coef] == reduced
+        # past the rank only the column of ones can be left
+        assert not any(any(coef[:m]) for coef in coefs[rank:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=st.one_of(_small_graph(), _regular_graph()), cycles=st.lists(st.integers(3, 9), min_size=1, max_size=3),
+           cliques=st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    def test_nonsingular_shape(self, g, cycles, cliques):
+        # a True proves the matrix nonsingular; on disjoint cycles and on
+        # disjoint cliques it decides
+        def adjacency(graph):
+            return [sum(1 << x for x in graph.neighbors(v)) for v in range(graph.order)]
+
+        def nonsingular(adj):
+            return _rref([[a >> k & 1 for k in range(len(adj))] for a in adj], len(adj))[0] == len(adj)
+
+        union = lambda parts: Graph(
+            sum(p.order for p in parts),
+            [(u + sum(q.order for q in parts[:i]), v + sum(q.order for q in parts[:i])) for i, p in enumerate(parts) for u, v in p.edges()],
+        )
+        adj = adjacency(g)
+        if search._nonsingular_shape(adj):
+            assert nonsingular(adj)
+        for shape in (union([build_cycle(p) for p in cycles]), union([build_multipartite(1, p) for p in cliques])):
+            adj = adjacency(shape)
+            assert search._nonsingular_shape(adj) == nonsingular(adj)
+
+    def test_c6_refuted_by_fractional_targets(self, kernel_nodes):
+        # each vertex of C6 must take c/2: 7/2 on 1..6, and 9/2 on 1..7
+        # without 1, so only 1..7 without 4 (c/2 = 4) reaches the kernel
+        res = compute_index(build_cycle(6))
+        assert res.kind == "unknown-at-cap"
+        assert len(kernel_nodes) == 1
+
+    def test_large_quotient_skips_the_reduction(self, monkeypatch):
+        # 192 classes: the reduction would take many times what the rest of
+        # _search_rows takes, so past _CLASS_ROWS_MAX classes it is skipped
+        g = build_circulant(192, [1, 2, 3])
+
+        def fastest():
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                search._search_rows(g, False, True)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        guarded = fastest()
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_class_sum_rows", lambda *args: [])
+            without = fastest()
+        assert guarded < 2 * without
+        eliminated = []
+        monkeypatch.setattr(search, "_eliminate", lambda *args: eliminated.append(args))
+        assert search._search_rows(g, False, True)[5] == []
+        assert eliminated == []
 
 
 def chain_prev(g: Graph, colour=None) -> list[int]:
