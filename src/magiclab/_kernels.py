@@ -52,6 +52,9 @@ def backtrack(
     has the same label sum.  With have_c, each row must sum to c_init.  The
     search builds one row per false-twin class; the CSR adjacency of the
     graph is valid too, one row per vertex, where twins only repeat a row.
+    With no weight row (indptr = [0]) every leaf that the extra rows let
+    through is accepted: a first hit on a nonsingular quotient passes one
+    extra row per class, whose targets fix every weight.
     Extra rows are given by vertex: plus[v] and minus[v] list the rows that
     vertex v enters with sign +1 and with sign -1.  Row r must sum to
     targets[r], and to 0 when r is past the end of targets.  Optional
@@ -66,14 +69,16 @@ def backtrack(
     With prune set, a branch dies as soon as a completed row misses its
     target or a partial row can no longer reach it.  A weight row is
     bounded with labels in [labels[0], labels[-1]], and only against a
-    forced constant.  An extra row is bounded with the labels still unused
-    other than the one tried.  When the walk enters a vertex v, the unused
-    labels and every row's sum and open entries stay fixed while v's labels
-    are scanned, so `_row_window` works out once which of v's labels every
-    row it enters admits, and v's scan covers exactly those labels: no try
-    checks an extra row again.  Without prune, full assignments are
-    generated and checked at the leaves only -- same results, no
-    shortcuts; the extra rows and the order are ignored.
+    forced constant.  An extra row is bounded with its open entries taken
+    as distinct integers between the least and the greatest label still
+    unused other than the one tried.  When the walk enters a vertex v, the
+    unused labels and every row's sum and open entries stay fixed while v's
+    labels are scanned, so `_row_window` works out once which of v's labels
+    every row it enters admits, and v's scan covers exactly those labels:
+    no try checks an extra row again.  Without prune, full assignments are
+    generated and checked against the weight rows at the leaves only --
+    same results, no shortcuts; the extra rows and the order are ignored,
+    so inputs without weight rows are for a pruned search only.
 
     node_limit < 0 means unlimited; a node is one attempted assignment, and
     a label outside the scan is never attempted.
@@ -194,7 +199,7 @@ def backtrack(
                         )
                     stop = top[depth]
                 continue
-            if w.count(w[0]) == len(w):
+            if not w or w.count(w[0]) == len(w):
                 if count == max_out:
                     return STATUS_OUT_FULL, nodes, count, out
                 out += [labels[i] for i in pick]
@@ -227,12 +232,12 @@ def _row_window(labels, used, first, prow, mrow, rsum, npos, nneg):
     the next ones inward.  The open entries of the rows take unused labels
     other than the one tried: labels in [a2, b] when a is tried, in
     [a, b2] when b is, and in [a, b] otherwise.  The scan starts at index
-    `first` or later, where the order puts it, and an unused label
-    from there on lies in labels[start:stop] exactly when every row can
-    still reach 0 with its open entries so bounded.  The labels strictly
-    between a and b that pass form one interval; a and b, when the scan
-    can reach them inside it, are tested with their own bounds and cut
-    off its ends if they fail.
+    `first` or later, where the order puts it, and an unused label from
+    there on lies in labels[start:stop] exactly when every row can still
+    reach 0 with its open entries distinct integers so bounded (_narrow).
+    The labels strictly between a and b that pass form one interval; a and
+    b, when the scan can reach them inside it, are tested with their own
+    bounds and cut off its ends if they fail.
     """
     i = 0
     while used[i]:
@@ -271,29 +276,34 @@ def _narrow(lo, hi, a, b, prow, mrow, rsum, npos, nneg):
     rsum[r] holds row r's signed sum less its target, so 0 is every row's
     goal.
 
-    Row r of prow, with p open + entries and m open - entries after the
-    vertex, each in [a, b], can reach 0 only when
-    m*a - p*b <= rsum[r] + lab <= m*b - p*a; a row of mrow is the same
-    with -lab.  The result is empty, lo > hi, when no label passes.
+    Row r of prow has p open + entries and m open - entries after the
+    vertex, each a different label in [a, b].  p distinct integers in
+    [a, b] sum to at least a + (a+1) + ... = p*a + p*(p-1)/2 and at most
+    p*b - p*(p-1)/2, and m of them likewise, so with
+    q = p*(p-1)/2 + m*(m-1)/2 the row can reach 0 only when
+    m*a - p*b + q <= rsum[r] + lab <= m*b - p*a - q; a row of mrow is the
+    same with -lab.  The result is empty, lo > hi, when no label passes.
     """
     for r in prow:
         p = npos[r] - 1
         m = nneg[r]
+        q = (p * (p - 1) + m * (m - 1)) >> 1
         s = rsum[r]
-        x = m * a - p * b - s
+        x = m * a - p * b - s + q
         if x > lo:
             lo = x
-        x = m * b - p * a - s
+        x = m * b - p * a - s - q
         if x < hi:
             hi = x
     for r in mrow:
         p = npos[r]
         m = nneg[r] - 1
+        q = (p * (p - 1) + m * (m - 1)) >> 1
         s = rsum[r]
-        x = s + p * a - m * b
+        x = s + p * a - m * b + q
         if x > lo:
             lo = x
-        x = s + p * b - m * a
+        x = s + p * b - m * a - q
         if x < hi:
             hi = x
     return lo, hi

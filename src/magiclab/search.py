@@ -113,7 +113,10 @@ def _search_rows(g: Graph, refs: bool, first_hit: bool) -> tuple[list, ...]:
 
     False twins (N(u) = N(v)) always weigh the same, so the weight rows
     (indptr, nbrs) hold one row per false-twin class, in CSR form: N(u) for
-    the class's first vertex u, classes in the order of those vertices.
+    the class's first vertex u, classes in the order of those vertices.  A
+    first hit on a regular graph whose quotient M is nonsingular gets no
+    weight row (indptr = [0]): its targeted rows fix every class sum, and
+    with them every weight.
 
     Extra rows reach the kernel by vertex: plus[x] and minus[x] list, in
     increasing order, the rows that x enters with sign +1 and -1.  Row r
@@ -122,7 +125,8 @@ def _search_rows(g: Graph, refs: bool, first_hit: bool) -> tuple[list, ...]:
     makes the kernel's integers.
     - Targeted rows, for a first hit on a regular graph, come first: the
       +-1 rows that the class sums must meet (_class_sum_rows), less any
-      that repeats a difference row.
+      that repeats a difference row.  A nonsingular M gives exactly one
+      per class, s_k = c * |class k| / r.
     - Difference rows, for a first hit: in a magic labeling w(u) = w(v), so
       the labels on N(u)-N(v) and on N(v)-N(u) have equal sums, and the
       kernel can cut a partial row by the unused labels.  A pair of classes
@@ -131,7 +135,11 @@ def _search_rows(g: Graph, refs: bool, first_hit: bool) -> tuple[list, ...]:
       they hold and rarely cut: on the benchmark's oracle corpus, keeping
       every pair saves under 1% of the nodes and takes about 25% longer.
       Each distinct row is kept once, a row and its sign flip being the
-      same row.
+      same row.  With a nonsingular M, only a pair of classes whose
+      vertices interleave in the vertex order keeps its row: the kernel
+      checks a row only at its own vertices, so there the pair row still
+      cuts when one class's row has gone out of reach, while after a
+      class labeled whole it only repeats the other class's row.
     - Reference rows, with refs, when no degree forces the constant: the
       pair (u, ref) for every class u other than ref, the class whose
       neighborhood is labeled first (the smallest largest neighbor).  They
@@ -161,12 +169,6 @@ def _search_rows(g: Graph, refs: bool, first_hit: bool) -> tuple[list, ...]:
     # each side of an extra row as a bit mask of vertices
     sides: list[tuple[int, int]] = []
     if first_hit:
-        # a row and its sign flip are one row, keyed by its two sides
-        pairs: dict[tuple[int, int], None] = {}
-        for (nu, du), (nv, dv) in combinations(zip(nbhd, map(len, weight_rows)), 2):
-            if (nu ^ nv).bit_count() <= max(du, dv):
-                pos, neg = nu & ~nv, nv & ~nu
-                pairs[(pos, neg) if pos < neg else (neg, pos)] = None
         prev, members, adj = _lex_leader_prev(cls, weight_rows)
         rows = []
         # on a regular graph every weight is the forced constant c, and a
@@ -178,6 +180,21 @@ def _search_rows(g: Graph, refs: bool, first_hit: bool) -> tuple[list, ...]:
             and max(map(int.bit_count, adj)) > 1
         ):
             rows = _class_sum_rows(adj, members, weight_rows)
+        # a nonsingular M gives one row per class, and they fix every class
+        # sum: every weight is then c, so no weight row is needed
+        pinned = len(rows) == len(adj)
+        if pinned:
+            indptr, nbrs = [0], []
+        # a row and its sign flip are one row, keyed by its two sides
+        pairs: dict[tuple[int, int], None] = {}
+        for (i, nu), (j, nv) in combinations(enumerate(nbhd), 2):
+            # with pinned sums, the row of classes i and j repeats class j's
+            # row once i is labeled, so it is kept only when they interleave
+            if pinned and members[i][-1] < members[j][0]:
+                continue
+            if (nu ^ nv).bit_count() <= max(len(weight_rows[i]), len(weight_rows[j])):
+                pos, neg = nu & ~nv, nv & ~nu
+                pairs[(pos, neg) if pos < neg else (neg, pos)] = None
         for pos, neg, t, d in rows:
             if t or ((pos, neg) if pos < neg else (neg, pos)) not in pairs:
                 sides.append((pos, neg))
@@ -228,27 +245,25 @@ def _class_sum_rows(
     weight_rows[k] the neighborhood as vertices, on a regular graph of
     degree r.  Every weight of a magic labeling is then the forced constant
     c, so its class sums s solve M s = c 1, where row k of M is adj[k].
-    The system is reduced exactly (_eliminate), with the classes ordered by
-    last vertex, latest first: the free columns are then the classes
-    labeled first, and each reduced row is complete as early in the vertex
-    order as it can be.  A reduced row a.s = t c whose nonzero a are all
-    +d or -d gives (pos, neg, t', d'): the labels on the vertices of the
-    bit mask pos less those on neg sum to c*t'/d', with t'/d' = t/d in
-    lowest terms and d' > 0.  A row that repeats a weight row is dropped.
+    A row (pos, neg, t, d) says that the labels on the vertices of the bit
+    mask pos less those on neg sum to c*t/d, with t/d in lowest terms and
+    d > 0.
 
-    M times the class sizes is r * 1, so when M is nonsingular the reduced
-    rows are s_k = c * |class k| / r, with no elimination when the shape of
-    the quotient proves M nonsingular (_nonsingular_shape).
+    M times the class sizes is r * 1, so when M is nonsingular its one
+    solution is s_k = c * |class k| / r, and the rows are those, one per
+    class in class order (_pinned_rows).  The shape of the quotient proves
+    M nonsingular without an elimination when it can (_nonsingular_shape),
+    and full rank proves it otherwise.
+
+    A singular system is reduced exactly (_eliminate), with the classes
+    ordered by last vertex, latest first: the free columns are then the
+    classes labeled first, and each reduced row is complete as early in the
+    vertex order as it can be.  Each reduced row a.s = t c whose nonzero a
+    are all +d or -d is a row, less any that repeats a weight row, so a
+    singular M gives fewer rows than classes.
     """
-    degree = len(weight_rows[0])
     if _nonsingular_shape(adj):
-        rows = []
-        for k, twins in enumerate(members):
-            e = gcd(len(twins), degree)
-            # s_k = c repeats the weight row of a class whose one neighbor is k
-            if len(twins) != degree or 1 << k not in adj:
-                rows.append((sum(map((1).__lshift__, twins)), 0, len(twins) // e, degree // e))
-        return rows
+        return _pinned_rows(members, len(weight_rows[0]))
     m = len(adj)
     cols = sorted(range(m), key=lambda k: members[k][-1], reverse=True)
     # a minor is at most the product of its rows' lengths (Hadamard), and a
@@ -261,6 +276,8 @@ def _class_sum_rows(
         place[members[k][0]] = 1 << (w * j)
     one = 1 << (w * m)
     rank, packed = _eliminate([sum(map(place.__getitem__, row)) + one for row in weight_rows], w)
+    if rank == m:
+        return _pinned_rows(members, len(weight_rows[0]))
     half = 1 << (w - 1)
     mask = (1 << w) - 1
     # adding half to every field reads each as a nonnegative number
@@ -285,6 +302,16 @@ def _class_sum_rows(
             d //= e
             if neg or t != d or pos not in adj:
                 rows.append((_vertices(members, pos), _vertices(members, neg), t, d))
+    return rows
+
+
+def _pinned_rows(members: list[list[int]], degree: int) -> list[tuple[int, int, int, int]]:
+    """The rows s_k = c * |class k| / r of a nonsingular M, one per class,
+    as _class_sum_rows gives them."""
+    rows = []
+    for twins in members:
+        e = gcd(len(twins), degree)
+        rows.append((sum(map((1).__lshift__, twins)), 0, len(twins) // e, degree // e))
     return rows
 
 
@@ -610,6 +637,9 @@ class _Kernel:
     here; an irregular graph gets reference rows instead.  `first_hit` asks
     for the targeted and difference rows and the lex-leader order of
     _search_rows, built here too, so their time counts against budget_ms.
+    On a nonsingular quotient those inputs hold no weight row, and the
+    kernel accepts a leaf on the targeted rows alone, so a first hit is
+    verified before it is returned (_checked).
     run() turns each targeted row's fraction of the constant into an
     integer target, and a fractional one settles the label set without a
     kernel call, as a fractional constant does.  Extra rows apply only
@@ -671,7 +701,22 @@ def find_labeling(
     cfg = config or SearchConfig()
     values = _as_label_tuple(g, label_set)
     hits = _Kernel(g, cfg, first_hit=True).run(values, 1)
-    return hits[0] if hits else None
+    if not hits:
+        return None
+    _checked(g, hits[0])
+    return hits[0]
+
+
+def _checked(g: Graph, hit: Labeling) -> int:
+    """The magic constant of a first hit, checked by the verifier.
+
+    With a nonsingular quotient the kernel holds no weight row, and accepts
+    a leaf on the class-sum rows alone, so every first hit is verified.
+    """
+    report = verify_s_magic(g, hit)
+    if not report.is_magic:
+        raise AssertionError("search returned a non-magic labeling")
+    return report.constant
 
 
 def enumerate_labelings(
@@ -747,14 +792,11 @@ def compute_index(g: Graph, config: SearchConfig | None = None) -> IndexResult:
             for values in _candidate_sets(g.order, d):
                 hits = kernel.run(values, 1)
                 if hits:
-                    report = verify_s_magic(g, hits[0])
-                    if not report.is_magic:
-                        raise AssertionError("search returned a non-magic labeling")
                     return IndexResult(
                         kind="finite",
                         theta=d,
                         method="search",
-                        constant=report.constant,
+                        constant=_checked(g, hits[0]),
                         witness=hits[0],
                     )
     except SearchBudgetExceeded as exc:

@@ -1,11 +1,11 @@
 import random
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magiclab import _kernels, search
@@ -285,12 +285,17 @@ class TestListKernel:
     @pytest.mark.parametrize("g,values", ROW_CASES, ids=[g.name for g, _ in ROW_CASES])
     def test_vertex_rows_and_class_rows_agree(self, g, values):
         # the CSR adjacency repeats a weight row for every twin, and a
-        # repeated row prunes and accepts exactly what the first one does
+        # repeated row prunes and accepts exactly what the first one does;
+        # a first hit on a nonsingular quotient (C6[K2], H(3,4)) holds no
+        # weight row, since its class rows fix every weight
         forced = search._forced_constant(regular_degree(g), values)
         for first_hit in (True, False):
             indptr, nbrs, plus, minus, prev, targets = search._search_rows(g, regular_degree(g) is None, first_hit)
             extra = (plus, minus, prev, search._row_targets(targets, forced[1]))
             assert len(indptr) < g.order + 1
+            if indptr == [0]:
+                assert first_hit and g.name in ("C(6)[E(2)]", "H(3,4)")
+                continue
             for (have_c, c), prune in product([(False, 0), forced], (True, False)):
                 args = (values, have_c, c, prune, 5_000, 2**62, 2**62, *extra)
                 assert _kernels.backtrack(indptr, nbrs, *args) == _kernels.backtrack(*g.csr(), *args)
@@ -310,7 +315,8 @@ class TestRowWindow:
 
     @staticmethod
     def admits(labels, used, lab, prow, mrow, rsum, npos, nneg):
-        # every row can still reach 0 with its open entries between the
+        # every row can still reach 0 with its p open + entries and its m
+        # open - entries each taken as distinct integers between the
         # smallest and the largest unused label other than lab
         others = [x for x, u in zip(labels, used) if not u and x != lab]
         a, b = min(others, default=0), max(others, default=0)
@@ -319,37 +325,72 @@ class TestRowWindow:
                 s = rsum[r] + sign * lab
                 p = npos[r] - (sign > 0)
                 m = nneg[r] - (sign < 0)
-                if not s + p * a - m * b <= 0 <= s + p * b - m * a:
+                low = s + sum(range(a, a + p)) - sum(range(b - m + 1, b + 1))
+                high = s + sum(range(b - p + 1, b + 1)) - sum(range(a, a + m))
+                if not low <= 0 <= high:
                     return False
         return True
+
+    @staticmethod
+    def completes(labels, used, lab, prow, mrow, rsum, npos, nneg):
+        # every row reaches 0 when its open entries take distinct unused
+        # labels other than lab, each row on its own
+        others = [x for x, u in zip(labels, used) if not u and x != lab]
+        for rows, sign in ((prow, 1), (mrow, -1)):
+            for r in rows:
+                s = rsum[r] + sign * lab
+                p = npos[r] - (sign > 0)
+                m = nneg[r] - (sign < 0)
+                if not any(
+                    s + sum(pos) - sum(neg) == 0
+                    for pos in combinations(others, p)
+                    for neg in combinations([x for x in others if x not in pos], m)
+                ):
+                    return False
+        return True
+
+    @staticmethod
+    def random_state(rng, reachable):
+        """A vertex's rows in a random walk state: labels, used, the scan
+        start and (prow, mrow, rsum, npos, nneg).  With reachable, every
+        row's assigned sum is set so that one unused label and one
+        completion by other unused labels bring it to 0."""
+        n = rng.randint(1, 8)
+        labels = sorted(rng.sample(range(1, 3 * n + 1), n))
+        free = rng.sample(range(n), rng.randint(1, n))
+        used = [i not in free for i in range(n)]
+        taken = [x for x, u in zip(labels, used) if u]
+        lab = labels[free[0]]
+        others = [labels[i] for i in free[1:]]
+        prow, mrow, rsum, npos, nneg = [], [], [], [], []
+        for r in range(rng.randint(1, 3)):
+            # the vertex enters row r with sign +1 or -1 and leaves p + m
+            # open entries, at most one per other unused label; the row's
+            # assigned entries are used labels with either sign
+            sign = rng.choice((1, -1))
+            p = rng.randint(0, len(free) - 1)
+            m = rng.randint(0, len(free) - 1 - p)
+            assigned = rng.sample(taken, rng.randint(0, len(taken)))
+            s = sum(rng.choice((1, -1)) * x for x in assigned)
+            if reachable:
+                pick = rng.sample(others, p + m)
+                s = -(sign * lab + sum(pick[:p]) - sum(pick[p:]))
+            rsum.append(s)
+            (prow if sign > 0 else mrow).append(r)
+            npos.append(p + (sign > 0))
+            nneg.append(m + (sign < 0))
+        # half the time the twin order starts the scan later
+        first = rng.randint(0, n) if rng.random() < 0.5 else 0
+        return labels, used, first, (prow, mrow, rsum, npos, nneg)
 
     def test_window_holds_exactly_the_admitted_labels(self):
         rng = random.Random(1)
         lone = closed = 0
         for _ in range(20_000):
-            n = rng.randint(1, 8)
-            labels = sorted(rng.sample(range(1, 3 * n + 1), n))
-            free = rng.sample(range(n), rng.randint(1, n))
-            used = [i not in free for i in range(n)]
-            taken = [x for x, u in zip(labels, used) if u]
-            prow, mrow, rsum, npos, nneg = [], [], [], [], []
-            for r in range(rng.randint(1, 3)):
-                # the vertex enters row r with sign +1 or -1 and leaves p + m
-                # open entries, at most one per other unused label; the row's
-                # assigned entries are used labels with either sign
-                sign = rng.choice((1, -1))
-                p = rng.randint(0, len(free) - 1)
-                m = rng.randint(0, len(free) - 1 - p)
-                closed += p + m == 0
-                assigned = rng.sample(taken, rng.randint(0, len(taken)))
-                rsum.append(sum(rng.choice((1, -1)) * x for x in assigned))
-                (prow if sign > 0 else mrow).append(r)
-                npos.append(p + (sign > 0))
-                nneg.append(m + (sign < 0))
-            lone += len(free) == 1
-            # half the time the twin order starts the scan later
-            first = rng.randint(0, n) if rng.random() < 0.5 else 0
-            rows = prow, mrow, rsum, npos, nneg
+            labels, used, first, rows = self.random_state(rng, rng.random() < 0.5)
+            prow, mrow, rsum, npos, nneg = rows
+            closed += any(npos[r] + nneg[r] == 1 for r in range(len(rsum)))
+            lone += used.count(False) == 1
             start, stop = _kernels._row_window(labels, used, first, *rows)
             assert start >= first
             window = [x for i, x in enumerate(labels[start:stop], start) if not used[i]]
@@ -359,6 +400,20 @@ class TestRowWindow:
             ]
             assert window == admitted, (labels, used, first, rows)
         assert lone and closed
+
+    def test_window_holds_every_completable_label(self):
+        # soundness by brute force: a label that some completion by
+        # distinct unused labels brings every row to 0 with is never cut
+        rng = random.Random(2)
+        found = 0
+        for _ in range(4_000):
+            labels, used, first, rows = self.random_state(rng, rng.random() < 0.8)
+            start, stop = _kernels._row_window(labels, used, first, *rows)
+            for i in range(first, len(labels)):
+                if not used[i] and self.completes(labels, used, labels[i], *rows):
+                    found += 1
+                    assert start <= i < stop, (labels, used, first, rows, labels[i])
+        assert found > 1_000
 
 
 class TestNaiveOracleAgreement:
@@ -417,9 +472,14 @@ class TestPruningRows:
     """Each distinct difference row reaches the kernel once, after the
     targeted rows that the class sums imply."""
 
+    # a nonsingular quotient pins every class sum, and these graphs label
+    # one class after another, so they keep no weight row and no
+    # difference row
+    PINNED = ("H(3,4)", "H(4,3)", "H(2,6)", "C(6)[E(2)]", "cube")
     COUNTS = [
-        # each part of H(n,p) sums to c/(p-1), each fiber of C6[K2] to c/2,
-        # and the first triangle of the prism[K2] to c
+        # the distinct difference rows of each graph's class pairs, and its
+        # targeted rows: each part of H(n,p) sums to c/(p-1), each fiber of
+        # C6[K2] to c/2, and the first triangle of the prism[K2] to c
         (build_multipartite(3, 4), 6, _parts(3, 4, 1, 3)),
         (build_multipartite(4, 3), 3, _parts(4, 3, 1, 2)),
         (build_multipartite(2, 6), 15, _parts(2, 6, 1, 5)),
@@ -427,10 +487,22 @@ class TestPruningRows:
         (blowup(build_cycle(6), 2), 6, _parts(2, 6, 1, 2)),
     ]
 
+    @staticmethod
+    def difference_rows(g: Graph) -> set[frozenset]:
+        """Every distinct difference row of a pair of classes, by definition."""
+        nbhd = [set(g.neighbors(u)) for u in range(g.order)]
+        return {
+            frozenset((frozenset(nbhd[u] - nbhd[v]), frozenset(nbhd[v] - nbhd[u])))
+            for u in range(g.order)
+            for v in range(u + 1, g.order)
+            if 0 < len(nbhd[u] ^ nbhd[v]) <= max(len(nbhd[u]), len(nbhd[v]))
+        }
+
     @pytest.mark.parametrize("g,count,targeted", COUNTS, ids=[f"{g.name}-{count}" for g, count, _ in COUNTS])
     def test_row_counts(self, g, count, targeted):
         got, pairwise = _row_sides(g)
-        assert len(pairwise) == count
+        assert len(self.difference_rows(g)) == count
+        assert len(pairwise) == (0 if g.name in self.PINNED else count)
         assert len(got) == len(targeted) and set(got) == set(targeted)
 
     @pytest.mark.parametrize(
@@ -442,18 +514,18 @@ class TestPruningRows:
         # target 0 does not repeat a difference row
         targeted, rows = _row_sides(g)
         assert len(set(rows)) == len(rows)
-        nbhd = [set(g.neighbors(u)) for u in range(g.order)]
-        wanted = {
-            frozenset((frozenset(nbhd[u] - nbhd[v]), frozenset(nbhd[v] - nbhd[u])))
-            for u in range(g.order)
-            for v in range(u + 1, g.order)
-            if 0 < len(nbhd[u] ^ nbhd[v]) <= max(len(nbhd[u]), len(nbhd[v]))
-        }
+        pinned = search._search_rows(g, False, True)[0] == [0]
+        assert pinned == (g.name in self.PINNED)
+        if pinned:
+            # one row per class, and no other
+            assert rows == [] and len(targeted) == len({g.neighbors(u) for u in range(g.order)})
+            return
+        wanted = self.difference_rows(g)
         assert set(rows) == wanted
         assert not {frozenset((pos, neg)) for pos, neg, t, _ in targeted if t == 0} & wanted
         # a targeted row repeats no weight row
         assert not {(pos, neg, t, d) for pos, neg, t, d in targeted} & {
-            (frozenset(row), frozenset(), 1, 1) for row in nbhd
+            (frozenset(g.neighbors(u)), frozenset(), 1, 1) for u in range(g.order)
         }
 
 
@@ -667,10 +739,10 @@ class TestFirstHitEquivalence:
 
     def test_prism_k2_exact_inside_node_budget(self):
         g = blowup(PRISM, 2)
-        res = compute_index(g, SearchConfig(node_limit=251))
+        res = compute_index(g, SearchConfig(node_limit=59))
         assert res.kind == "finite" and res.theta == 0
         assert res.witness.labels == (1, 4, 5, 8, 9, 12, 2, 3, 6, 7, 10, 11)
-        assert compute_index(g, SearchConfig(node_limit=250)).kind == "indeterminate"
+        assert compute_index(g, SearchConfig(node_limit=58)).kind == "indeterminate"
 
     def test_h43_exact_inside_node_budget(self):
         g = build_multipartite(4, 3)
@@ -750,11 +822,12 @@ def _rref(matrix: list[list[int]], pivots: int) -> tuple[int, list[list[Fraction
     return rank, rows
 
 
-def _fraction_rows(g: Graph) -> set[tuple]:
+def _fraction_rows(g: Graph, pinned: bool = False) -> set[tuple]:
     """The targeted rows by their definition, in Fractions: the reduced
     echelon form of M s = c 1 over the false-twin classes, columns by last
     vertex, latest first; each row whose nonzero entries are all +d or -d,
-    as (+ vertices, - vertices, target / c), less the weight rows."""
+    as (+ vertices, - vertices, target / c), less the weight rows unless
+    pinned, when the search keeps no weight row."""
     n = g.order
     nbhd = [g.neighbors(v) for v in range(n)]
     heads = [v for v in range(n) if nbhd.index(nbhd[v]) == v]
@@ -769,7 +842,7 @@ def _fraction_rows(g: Graph) -> set[tuple]:
             pos = tuple(sorted(v for u, x in zip(cols, coef) if x == d for v in members[u]))
             neg = tuple(sorted(v for u, x in zip(cols, coef) if x == -d for v in members[u]))
             out.add((pos, neg, t / d))
-    return out - weight
+    return out if pinned else out - weight
 
 
 class TestClassSumRows:
@@ -806,6 +879,12 @@ class TestClassSumRows:
         got = {
             (tuple(pos), tuple(neg), Fraction(t, d)) for pos, neg, t, d in _targeted_rows(g)
         }
+        if search._search_rows(g, False, True)[0] == [0]:
+            # M is nonsingular: its reduced form is s_k = c |k| / r, and
+            # every class keeps its row, as no weight row is left
+            assert got == _fraction_rows(g, pinned=True)
+            assert len(got) == len({g.neighbors(v) for v in range(g.order)})
+            return
         want = _fraction_rows(g)
         # a targeted row with target 0 is dropped when it repeats a
         # difference row, so only those may be missing
@@ -916,6 +995,135 @@ class TestClassSumRows:
         monkeypatch.setattr(search, "_eliminate", lambda *args: eliminated.append(args))
         assert search._search_rows(g, False, True)[5] == []
         assert eliminated == []
+
+
+def _quotient(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """(members, M): the false-twin classes in order of first vertex, and
+    the quotient's adjacency matrix over them."""
+    heads: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.order):
+        heads.setdefault(g.neighbors(v), []).append(v)
+    members = list(heads.values())
+    return members, [[int(k[0] in row) for k in members] for row in heads]
+
+
+@st.composite
+def _pinned_graph(draw):
+    """A regular graph of order <= 8 whose false-twin quotient M is
+    nonsingular and not a union of edges, its vertices relabelled: C_p
+    with 4 not dividing p, H(n,p) with p >= 3, a blow-up of K3 or K4 by
+    K̄2, or a circulant whose M has full rank."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        g = build_cycle(draw(st.sampled_from([3, 5, 6, 7])))
+    elif kind == 1:
+        p = draw(st.integers(3, 8))
+        g = build_multipartite(draw(st.integers(1, 8 // p)), p)
+    elif kind == 2:
+        g = blowup(build_multipartite(1, draw(st.integers(3, 4))), 2)
+    else:
+        n = draw(st.integers(5, 8))
+        g = build_circulant(n, sorted(draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))))
+        members, m = _quotient(g)
+        assume(_rref([row + [1] for row in m], len(m))[0] == len(m) and max(map(sum, m)) > 1)
+    order = draw(st.permutations(range(g.order)))
+    return Graph(g.order, sorted(tuple(sorted((order[u], order[v]))) for u, v in g.edges()), "pinned")
+
+
+class TestPinnedQuotient:
+    """A nonsingular quotient fixes every class sum: a first hit walks one
+    row per class and no weight row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=_pinned_graph())
+    def test_one_row_per_class(self, g):
+        indptr, nbrs, plus, minus, _, targets = search._search_rows(g, False, True)
+        assert (indptr, nbrs) == ([0], [])
+        sides: dict[int, tuple[list, list]] = {}
+        for x in range(g.order):
+            for r in plus[x]:
+                sides.setdefault(r, ([], []))[0].append(x)
+            for r in minus[x]:
+                sides.setdefault(r, ([], []))[1].append(x)
+        members, _ = _quotient(g)
+        r = regular_degree(g)
+        # the targeted rows: s_k = c |k| / r for every class k
+        assert sorted(sides[k] for k in range(len(targets))) == sorted((twins, []) for twins in members)
+        for k, (t, d) in enumerate(targets):
+            assert Fraction(t, d) == Fraction(len(sides[k][0]), r)
+        # the rest: the difference rows of two classes whose vertices
+        # interleave in the vertex order
+        nbhd = [set(g.neighbors(twins[0])) for twins in members]
+        wanted = {
+            frozenset((frozenset(nbhd[i] - nbhd[j]), frozenset(nbhd[j] - nbhd[i])))
+            for i, j in combinations(range(len(members)), 2)
+            if members[j][0] < members[i][-1] and len(nbhd[i] ^ nbhd[j]) <= r
+        }
+        rows = [frozenset(map(frozenset, sides[k])) for k in range(len(targets), len(sides))]
+        assert len(rows) == len(set(rows)) and set(rows) == wanted
+
+    @settings(max_examples=30, deadline=None)
+    @given(g=_pinned_graph(), deleted=st.integers(1, 9))
+    def test_first_hit_equals_unpruned(self, g, deleted):
+        slow = SearchConfig(prune=False)
+        for pool in (LabelSet.natural(g.order), LabelSet.without(g.order + 1, min(deleted, g.order + 1))):
+            assert find_labeling(g, pool) == find_labeling(g, pool, slow)
+        if g.order <= 7:
+            assert compute_index(g) == compute_index(g, slow)
+
+    def test_interleaved_classes_keep_their_difference_rows(self):
+        # circ(12;1,2,3,5,6) is H(3,4) with class k = {k, k+4, k+8}; a class
+        # row is checked only at its own vertices, and the rows joining two
+        # classes that interleave still cut, so they stay: without them the
+        # search takes 63 nodes
+        g = build_circulant(12, [1, 2, 3, 5, 6])
+        assert len(search._search_rows(g, False, True)[5]) == 4
+        res = compute_index(g, SearchConfig(node_limit=50))
+        assert res.kind == "finite" and res.theta == 1
+        assert res.witness.labels == (1, 2, 3, 4, 6, 8, 5, 7, 13, 10, 12, 9)
+        assert compute_index(g, SearchConfig(node_limit=49)).kind == "indeterminate"
+
+    def test_kernel_without_weight_rows(self):
+        # with indptr = [0] a leaf is accepted exactly when every extra row
+        # meets its target: the kernel's hits are the permutations that a
+        # filter keeps, in order
+        rng = random.Random(26)
+        hits = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            labels = sorted(rng.sample(range(1, 2 * n + 2), n))
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                signs = [rng.choice((1, -1, 0)) for _ in range(n)]
+                if not any(signs):
+                    signs[rng.randrange(n)] = 1
+                rows.append(signs)
+            perm = rng.sample(labels, n)
+            # half the time the targets come from one permutation
+            targets = [
+                sum(x * f for x, f in zip(signs, perm)) + (0 if rng.random() < 0.5 else rng.randint(-2, 2))
+                for signs in rows
+            ]
+            plus = [[r for r, signs in enumerate(rows) if signs[v] > 0] for v in range(n)]
+            minus = [[r for r, signs in enumerate(rows) if signs[v] < 0] for v in range(n)]
+            want = [
+                f for f in permutations(labels)
+                if all(sum(x * y for x, y in zip(signs, f)) == t for signs, t in zip(rows, targets))
+            ]
+            for have_c in (False, True):
+                status, _, count, out = _kernels.backtrack(
+                    [0], [], labels, have_c, 0, True, -1, 2**62, 2**62, plus, minus, [], targets
+                )
+                assert status == _kernels.STATUS_DONE
+                assert [tuple(out[k * n : (k + 1) * n]) for k in range(count)] == want
+            hits += bool(want)
+        assert 50 < hits < 300
+
+    def test_non_magic_hit_raises(self, monkeypatch):
+        # 1, 2, 3, 4 around C4 weighs 6, 4, 6, 4
+        monkeypatch.setattr(_kernels, "backtrack", lambda *args: (_kernels.STATUS_DONE, 1, 1, [1, 2, 3, 4]))
+        with pytest.raises(AssertionError, match="search returned a non-magic labeling"):
+            find_labeling(build_cycle(4), range(1, 5))
 
 
 def chain_prev(g: Graph, colour=None) -> list[int]:
